@@ -18,30 +18,40 @@ bench-perf`` is the one-command entry point.  Every timing is a
 best-of-``--repeats`` minimum, which is the stable statistic on a noisy
 shared box.
 
-Note on single-core containers: worker processes are capped at the
-CPU count, so the ``jobs>1`` speedup measured here comes from the
-shared-stream fleet runner (context generation paid once per round
-instead of once per policy per round); on multi-core machines the
-process pool multiplies that by fanning seeds across cores.
+Every ``jobs`` value runs the same cells through the shared-stream
+fleet runner (context generation paid once per round, not once per
+policy), so ``speedup_jobs2``/``speedup_jobs4`` measure the process
+pool alone.  Worker processes are capped at the CPU count: on a box
+with ``nproc`` CPUs expect at most ``min(jobs, nproc, seeds)``.
+
+BLAS is pinned to one thread before numpy loads (unless the caller set
+it), and the pool workers inherit that: with BLAS's default of one
+thread per CPU, ``jobs`` workers oversubscribe the CPUs and the pool
+runs slower than serial.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
-import sys
-import time
-from typing import Callable, Dict, List
 
-import numpy as np
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _variable in BLAS_THREAD_VARIABLES:
+    os.environ.setdefault(_variable, "1")
 
-from repro.analysis.replication import replicate_policies
-from repro.datasets.synthetic import SyntheticConfig
-from repro.ebsn.conflicts import DenseConflictGraph, random_conflict_array
-from repro.linalg.ridge import RidgeState
-from repro.oracle import greedy
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from typing import Callable, Dict, List  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repro.analysis.replication import replicate_policies  # noqa: E402
+from repro.datasets.synthetic import SyntheticConfig  # noqa: E402
+from repro.ebsn.conflicts import DenseConflictGraph, random_conflict_array  # noqa: E402
+from repro.linalg.ridge import RidgeState  # noqa: E402
+from repro.oracle import greedy  # noqa: E402
 
 #: The replication workload: 8 seeds x 5 learned policies (plus OPT).
 REPLICATION_WORKLOAD = {
@@ -221,6 +231,10 @@ def run_all(repeats: int = 2) -> Dict[str, object]:
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "nproc": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+            "blas_threads": {name: os.environ[name] for name in BLAS_THREAD_VARIABLES},
         },
         "replication": bench_replication(repeats=repeats),
         "update_batch": bench_update_batch(),

@@ -16,11 +16,12 @@ from typing import Callable, List, Optional, Tuple
 from repro.bandits import OptPolicy, make_policy
 from repro.datasets.damai import load_damai
 from repro.datasets.synthetic import SyntheticConfig, build_world
+from repro.experiments.config import compare_policies
 from repro.mab import BetaThompsonSampling, Ucb1, run_mab
 from repro.mab.arms import random_arms
 from repro.metrics.resources import time_policy_rounds
+from repro.simulation.fleet import run_policy_fleet
 from repro.simulation.realdata import run_real_policy
-from repro.simulation.runner import run_policy
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,7 @@ def _default_runs(horizon: int, seed: int):
     config = SyntheticConfig.scaled_default(seed=seed).with_overrides(
         horizon=horizon
     )
-    world = build_world(config)
-    runs = {"OPT": run_policy(OptPolicy(world.theta), world, run_seed=seed)}
-    for name in ("UCB", "TS", "eGreedy", "Exploit", "Random"):
-        policy = make_policy(name, dim=config.dim, seed=7)
-        runs[name] = run_policy(policy, world, run_seed=seed)
-    return runs
+    return compare_policies(config, run_seed=seed, policy_seed=7).all_histories()
 
 
 def check_ucb_exploit_best(horizon: int = 3000, seed: int = 42) -> Tuple[bool, str]:
@@ -142,8 +138,11 @@ def check_ts_recovers_at_d1(horizon: int = 2500, seed: int = 5) -> Tuple[bool, s
         horizon=horizon, dim=1
     )
     world = build_world(config)
-    opt = run_policy(OptPolicy(world.theta), world, run_seed=0)
-    ts = run_policy(make_policy("TS", dim=1, seed=7), world, run_seed=0)
+    runs = run_policy_fleet(
+        {"OPT": OptPolicy(world.theta), "TS": make_policy("TS", dim=1, seed=7)},
+        world,
+    )
+    opt, ts = runs["OPT"], runs["TS"]
     ratio = ts.total_reward / max(opt.total_reward, 1.0)
     return ratio > 0.8, f"TS collects {ratio:.0%} of OPT's reward at d=1"
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bandits import POLICY_NAMES, make_policy
+from repro.bandits import POLICY_NAMES, OptPolicy, Policy, make_policy
 from repro.datasets.damai import load_damai
 from repro.experiments.config import (
     DEFAULT_ALPHA,
@@ -28,14 +28,13 @@ from repro.experiments.config import (
 )
 from repro.experiments.reporting import ExperimentResult
 from repro.simulation.basic import build_basic_world
+from repro.simulation.fleet import run_policy_fleet
 from repro.simulation.history import default_checkpoints
 from repro.simulation.realdata import (
     full_knowledge_history,
     resolve_capacity,
     run_real_policy,
 )
-from repro.simulation.runner import run_policy
-from repro.bandits import OptPolicy
 
 
 def _merge_curves(
@@ -426,16 +425,17 @@ def _basic_suite_curves(
     world = build_basic_world(config)
     horizon = horizon if horizon is not None else config.horizon
     checkpoints = default_checkpoints(horizon)
-    opt_history = run_policy(
-        OptPolicy(world.theta), world, horizon=horizon, run_seed=run_seed
-    )
+    fleet: Dict[str, Policy] = {"OPT": OptPolicy(world.theta)}
+    for name in POLICY_NAMES:
+        fleet[name] = make_policy(name, dim=config.dim, seed=policy_seed)
+    histories = run_policy_fleet(fleet, world, horizon=horizon, run_seed=run_seed)
+    opt_history = histories["OPT"]
     curves: Dict[str, Dict[str, List[float]]] = {
         "accept_ratio": {"OPT": opt_history.accept_ratio_at(checkpoints).tolist()},
         "total_regrets": {},
     }
     for name in POLICY_NAMES:
-        policy = make_policy(name, dim=config.dim, seed=policy_seed)
-        history = run_policy(policy, world, horizon=horizon, run_seed=run_seed)
+        history = histories[name]
         curves["accept_ratio"][name] = history.accept_ratio_at(checkpoints).tolist()
         curves["total_regrets"][name] = history.regret_at(
             opt_history, checkpoints

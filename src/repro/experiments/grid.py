@@ -12,11 +12,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bandits import POLICY_NAMES, OptPolicy, make_policy
-from repro.datasets.synthetic import SyntheticConfig, build_world
+from repro.bandits import POLICY_NAMES
+from repro.datasets.synthetic import SyntheticConfig
 from repro.exceptions import ConfigurationError
-from repro.parallel import GridCell, resolve_jobs, run_grid_cell, run_work_units
-from repro.simulation.runner import run_policy
+from repro.parallel import GridCell, run_grid_cell, run_work_units
 
 
 @dataclass(frozen=True)
@@ -63,64 +62,36 @@ def sweep(
     Each cell shares the run seed, so differences between cells reflect
     the swept parameters plus world regeneration, not stream luck.
 
-    ``jobs`` fans the grid cells out over a process pool (``0`` = all
-    CPUs); cells are independent, results come back in grid order, and
-    the metrics are identical to the serial run.
+    Every grid point is one :class:`~repro.parallel.GridCell` whose
+    suite plays on one shared stream via the fleet runner.  ``jobs``
+    only chooses where the cells run (``1`` inline, ``0`` = all CPUs);
+    cells are independent, results come back in grid order, and the
+    metrics are identical for every ``jobs``.  An ambient executor
+    checkpoint caches completed cells, so a resumed ``fasea run
+    --checkpoint`` replays them.
     """
-    from repro.io.checkpoint import active_executor_checkpoint
-
-    cells: List[SweepCell] = []
     horizon_default = horizon if horizon is not None else base.horizon
-    # The cell path is bit-identical to the inline loop (asserted by
-    # tests/test_parallel.py), so an ambient executor checkpoint also
-    # routes a serial sweep through it: completed cells land in the
-    # unit cache and a resumed `fasea run --checkpoint` replays them.
-    if resolve_jobs(jobs) > 1 or active_executor_checkpoint() is not None:
-        work = []
-        for overrides in expand_grid(axes):
-            config = base.with_overrides(**overrides)
-            work.append(
-                GridCell(
-                    config=config,
-                    overrides=tuple(sorted(overrides.items())),
-                    horizon=min(horizon_default, config.horizon),
-                    policy_names=tuple(policy_names),
-                    run_seed=run_seed,
-                    policy_seed=policy_seed,
-                )
-            )
-        return [
-            SweepCell(
-                overrides=outcome.overrides,
-                accept_ratios=outcome.accept_ratios,
-                total_regrets=outcome.total_regrets,
-            )
-            for outcome in run_work_units(run_grid_cell, work, jobs=jobs)
-        ]
+    work = []
     for overrides in expand_grid(axes):
         config = base.with_overrides(**overrides)
-        world = build_world(config)
-        cell_horizon = min(horizon_default, config.horizon)
-        opt_history = run_policy(
-            OptPolicy(world.theta), world, horizon=cell_horizon, run_seed=run_seed
-        )
-        accept = {"OPT": opt_history.overall_accept_ratio}
-        regrets: Dict[str, float] = {}
-        for name in policy_names:
-            policy = make_policy(name, dim=config.dim, seed=policy_seed)
-            history = run_policy(
-                policy, world, horizon=cell_horizon, run_seed=run_seed
-            )
-            accept[name] = history.overall_accept_ratio
-            regrets[name] = opt_history.total_reward - history.total_reward
-        cells.append(
-            SweepCell(
+        work.append(
+            GridCell(
+                config=config,
                 overrides=tuple(sorted(overrides.items())),
-                accept_ratios=accept,
-                total_regrets=regrets,
+                horizon=min(horizon_default, config.horizon),
+                policy_names=tuple(policy_names),
+                run_seed=run_seed,
+                policy_seed=policy_seed,
             )
         )
-    return cells
+    return [
+        SweepCell(
+            overrides=outcome.overrides,
+            accept_ratios=outcome.accept_ratios,
+            total_regrets=outcome.total_regrets,
+        )
+        for outcome in run_work_units(run_grid_cell, work, jobs=jobs)
+    ]
 
 
 def best_policy_per_cell(cells: Sequence[SweepCell]) -> Dict[Tuple, str]:

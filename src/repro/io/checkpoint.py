@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 #: Bumped when the cell-checkpoint npz layout changes incompatibly.
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 #: Bumped when the pickled unit-cache layout changes incompatibly.
 UNIT_CACHE_SCHEMA_VERSION = 1
 #: The checkpoint directory's identity document.

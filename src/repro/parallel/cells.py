@@ -9,9 +9,11 @@ against them in lockstep — bit-for-bit identical to running each policy
 individually (``tests/test_fleet.py`` asserts this), but without paying
 the ``|V| x d`` context generation once per policy.
 
-Cell runners are module-level functions taking a single frozen
-dataclass payload, so they pickle by reference into worker processes
-and stay trivially callable inline when ``jobs=1``.
+Cells are the only execution path of ``replicate_policies`` and
+``sweep``: ``jobs=1`` runs them inline, ``jobs>1`` over a process pool,
+and nothing else differs.  Cell runners are module-level functions
+taking a single frozen dataclass payload, so they pickle by reference
+into worker processes and stay trivially callable inline.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ def run_replication_cell(cell: ReplicationCell) -> Dict[str, History]:
     """Play OPT and every policy of one replication seed; key by name.
 
     The world is rebuilt from ``config`` with the cell's seed and every
-    run uses ``run_seed = seed`` — exactly as the serial
-    :func:`~repro.analysis.replication.replicate_policies` loop does.
+    policy plays with ``run_seed = seed``.
     """
     world = build_world(cell.config.with_overrides(seed=cell.seed))
     policies = {OPT_KEY: OptPolicy(world.theta)}

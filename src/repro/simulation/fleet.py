@@ -1,11 +1,14 @@
 """Fleet runner: many policies, one shared input stream.
 
 ``run_policy`` replays the environment streams once *per policy*;
-context generation (|V| x d Gaussians per round) then dominates the
-wall clock of every multi-policy experiment.  The fleet runner draws
-each round's user, context matrix and acceptance thresholds **once**
-and steps every policy against them in lockstep, each with its own
-platform (capacities evolve per policy, as they must).
+context generation (|V| x d Gaussians per round) would then dominate
+the wall clock of every multi-policy experiment.  The fleet runner
+draws each round's user, context matrix and acceptance thresholds
+**once** and steps every policy against them in lockstep, each with
+its own platform (capacities evolve per policy, as they must).  The
+replication, grid-sweep, synthetic-figure and claim suites all run
+through here, whatever ``--jobs`` says; the executor only decides
+where each cell's fleet runs.
 
 The streams are constructed exactly as
 :class:`~repro.simulation.environment.FaseaEnvironment` constructs
@@ -73,6 +76,10 @@ def run_policy_fleet(
     input streams once plus every policy's learned/RNG/platform state
     under per-policy prefixes.  A resumed fleet is bit-identical to an
     uninterrupted one.
+
+    Each history's ``avg_round_time`` is that policy's own select +
+    observe seconds per round, as in ``run_policy``; the shared draws
+    and the platform commit are not part of it.
     """
     if not policies:
         raise ConfigurationError("need at least one policy")
@@ -107,6 +114,8 @@ def run_policy_fleet(
     platforms = {name: Platform(world.make_store(), world.conflicts) for name in policies}
     rewards = {name: np.zeros(horizon) for name in policies}
     arranged_counts = {name: np.zeros(horizon) for name in policies}
+    # Select + observe seconds per policy, as run_policy accumulates them.
+    elapsed = {name: 0.0 for name in policies}
 
     checkpoints: List[int] = []
     checkpoint_set = frozenset()
@@ -174,6 +183,7 @@ def run_policy_fleet(
                 )
                 rewards[name][:start_round] = stored[f"rewards.{name}"]
                 arranged_counts[name][:start_round] = stored[f"arranged.{name}"]
+                elapsed[name] = float(stored[f"elapsed.{name}"][0])
                 taus[name][:] = [float(tau) for tau in stored[f"k_taus.{name}"]]
             if instrumented:
                 # Merging into the fresh registry reproduces the saved
@@ -207,6 +217,7 @@ def run_policy_fleet(
             )
             arrays[f"rewards.{name}"] = rewards[name][:round_index].copy()
             arrays[f"arranged.{name}"] = arranged_counts[name][:round_index].copy()
+            arrays[f"elapsed.{name}"] = np.array([elapsed[name]], dtype=np.float64)
             arrays[f"k_taus.{name}"] = np.asarray(taus[name], dtype=np.float64)
         if instrumented:
             arrays["obs"] = pack_json(obs.snapshot().to_dict())
@@ -227,11 +238,9 @@ def run_policy_fleet(
             remaining_capacities=platform.store.remaining_capacities,
             conflicts=platform.conflicts,
         )
-        if instrumented:
-            select_start = time.perf_counter()
+        select_start = time.perf_counter()
         arrangement = policy.select(view)
-        if instrumented:
-            select_end = time.perf_counter()
+        select_end = time.perf_counter()
         # Arrangements hold <= c_u events: scalar lookups beat
         # fancy-indexing round trips at that size.
         accepted_flags = [bool(accepts[event_id]) for event_id in arrangement]
@@ -239,16 +248,16 @@ def run_policy_fleet(
         entry = platform.commit(
             user, arrangement, feedback=decisions.__getitem__
         )
-        if instrumented:
-            observe_start = time.perf_counter()
         reward_values = [1.0 if flag else 0.0 for flag in accepted_flags]
+        observe_start = time.perf_counter()
         policy.observe(view, arrangement, reward_values)
+        observe_end = time.perf_counter()
+        elapsed[name] += (select_end - select_start) + (observe_end - observe_start)
         if recording:
             flight.record(
                 decision_record(policy, view, arrangement, reward_values)
             )
         if instrumented:
-            observe_end = time.perf_counter()
             record_policy_round(
                 obs,
                 policy,
@@ -314,6 +323,7 @@ def run_policy_fleet(
             policy_name=name,
             rewards=rewards[name],
             arranged=arranged_counts[name],
+            avg_round_time=elapsed[name] / horizon if horizon else 0.0,
             kendall_steps=np.asarray(checkpoints, dtype=int) if track_kendall else None,
             kendall_taus=np.asarray(taus[name]) if track_kendall else None,
         )

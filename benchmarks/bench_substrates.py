@@ -1,7 +1,8 @@
 """Micro-benchmarks of the EBSN/database substrates.
 
 Not tied to a paper artefact — these pin the costs of the building
-blocks every experiment leans on: conflict-graph queries, event-store
+blocks every experiment leans on: the synthetic world build (dominated
+by its dense conflict matrix), conflict-graph queries, event-store
 registration, catalogue index lookups, and run-store inserts.
 """
 
@@ -9,11 +10,19 @@ import numpy as np
 import pytest
 
 from repro.datasets.damai import load_damai
+from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.ebsn.catalog import EventCatalog
 from repro.ebsn.conflicts import DenseConflictGraph, SparseConflictGraph, random_conflicts
 from repro.ebsn.events import EventStore
 from repro.io.runstore import RunStore
 from repro.simulation.history import History
+
+
+def test_build_world(benchmark):
+    """World setup at |V| = 2000, cr = 0.25: ~1M sampled conflict pairs."""
+    config = SyntheticConfig(num_events=2000, conflict_ratio=0.25, seed=0)
+    world = benchmark.pedantic(build_world, args=(config,), rounds=5, iterations=1)
+    assert world.conflicts.num_pairs() == round(0.25 * 2000 * 1999 / 2)
 
 
 @pytest.mark.parametrize("backend", [DenseConflictGraph, SparseConflictGraph])

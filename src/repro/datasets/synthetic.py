@@ -11,7 +11,7 @@ flips, so policies can be compared with common random numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Iterable, List
 
 import numpy as np
 
@@ -26,8 +26,13 @@ from repro.datasets.distributions import (
 from repro.ebsn.conflicts import (
     BaseConflictGraph,
     ConflictGraph,
-    random_conflict_array,
+    Pair,
+    random_conflict_graph,
 )
+
+# perfbench/layers.py traces the conflict build by patching this module's
+# ``random_conflict_array`` and ``ConflictGraph`` names; keep both bound.
+from repro.ebsn.conflicts import random_conflict_array  # noqa: F401
 from repro.ebsn.events import EventStore
 from repro.ebsn.users import UserArrivalStream
 from repro.exceptions import ConfigurationError
@@ -121,35 +126,22 @@ class SyntheticWorld:
         config: SyntheticConfig,
         theta: np.ndarray,
         capacities: np.ndarray,
-        conflict_pairs: "List[Tuple[int, int]] | np.ndarray",
+        conflicts: "BaseConflictGraph | Iterable[Pair] | np.ndarray",
     ) -> None:
         self.config = config
         self.theta = theta
         self.capacities = capacities
-        # ``conflict_pairs`` may arrive as an ``(n, 2)`` id array (the
-        # fast path :func:`build_world` uses) or a list of tuples; the
-        # tuple form is materialised lazily because only diagnostics and
-        # tests read it, while every build feeds the graph below.
-        self._conflict_pair_input = conflict_pairs
-        self._conflict_pair_list: Optional[List[Tuple[int, int]]] = None
-        # The conflict graph is immutable; one shared instance serves all runs.
-        self.conflicts: BaseConflictGraph = ConflictGraph(
-            config.num_events, conflict_pairs
-        )
+        # The conflict graph is immutable; one shared instance serves all
+        # runs.  Pairs (a list of tuples or an ``(n, 2)`` id array) are
+        # turned into a graph here; the graph alone is kept.
+        if not isinstance(conflicts, BaseConflictGraph):
+            conflicts = ConflictGraph(config.num_events, conflicts)
+        self.conflicts: BaseConflictGraph = conflicts
 
     @property
-    def conflict_pairs(self) -> List[Tuple[int, int]]:
-        """Conflicting ``(i, j)`` pairs as a list of int tuples."""
-        if self._conflict_pair_list is None:
-            pairs = self._conflict_pair_input
-            if isinstance(pairs, np.ndarray):
-                pairs = pairs.reshape(-1, 2)
-                self._conflict_pair_list = list(
-                    zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
-                )
-            else:
-                self._conflict_pair_list = [(int(i), int(j)) for i, j in pairs]
-        return self._conflict_pair_list
+    def conflict_pairs(self) -> List[Pair]:
+        """Conflicting ``(i, j)`` pairs, ``i < j``, in sorted order."""
+        return list(self.conflicts.pairs())
 
     # ------------------------------------------------------------------
     # Per-run factories
@@ -202,9 +194,9 @@ def build_world(config: SyntheticConfig) -> SyntheticWorld:
         config.capacity_std,
         np.random.default_rng(capacity_seed),
     )
-    pairs = random_conflict_array(
+    conflicts = random_conflict_graph(
         config.num_events,
         config.conflict_ratio,
         np.random.default_rng(conflict_seed),
     )
-    return SyntheticWorld(config, theta, capacities, pairs)
+    return SyntheticWorld(config, theta, capacities, conflicts)

@@ -11,8 +11,21 @@ implement the same interface:
   or sparse instances such as the 50-event Damai catalogue.
 
 :func:`ConflictGraph` (the public constructor) picks a backend by
-density, and :func:`random_conflicts` draws a conflict set of a target
-ratio ``cr = |CF| / (|V| (|V|-1) / 2)`` exactly as Table 4 defines it.
+density.  A random conflict set of target ratio
+``cr = |CF| / (|V| (|V|-1) / 2)`` (Table 4) is one draw of distinct
+*ranks* — flat indices into the row-major upper triangle — and two
+consumers of that draw:
+
+* :func:`random_conflict_graph` builds the graph straight from the
+  ranks.  On the dense path it marks them in a flat upper-triangle mask,
+  copies each row's slice into the matrix and mirrors it; no pair list
+  is ever built.  Only the sparse path unranks the ranks into pairs.
+* :func:`random_conflict_array` / :func:`random_conflicts` unrank the
+  same draw into ``(i, j)`` pairs, in draw order.
+
+Both consume the seed's generator identically, so a world built from
+the graph equals one built from the pairs, and a caller that shares its
+generator (the Meetup builder) sees the same stream afterwards.
 """
 
 from __future__ import annotations
@@ -251,6 +264,14 @@ class SparseConflictGraph(BaseConflictGraph):
         return self._num_pairs
 
 
+def _prefers_dense(num_events: int, num_pairs: int) -> bool:
+    """The backend rule: dense when |V| is small enough that the matrix
+    is cheap anyway, or when ``|CF|`` exceeds ``_DENSE_THRESHOLD`` of
+    all possible pairs."""
+    total = max(num_events * (num_events - 1) // 2, 1)
+    return num_events <= 2048 or num_pairs / total > _DENSE_THRESHOLD
+
+
 def ConflictGraph(
     num_events: int, pairs: Iterable[Pair] = (), dense: "bool | None" = None
 ) -> BaseConflictGraph:
@@ -267,23 +288,22 @@ def ConflictGraph(
         pair_input = [(int(i), int(j)) for i, j in pairs]
         num_pairs = len(pair_input)
     if dense is None:
-        total = max(num_events * (num_events - 1) // 2, 1)
-        dense = num_events <= 2048 or num_pairs / total > _DENSE_THRESHOLD
+        dense = _prefers_dense(num_events, num_pairs)
     if not dense and isinstance(pair_input, np.ndarray):
         pair_input = list(zip(pair_input[:, 0].tolist(), pair_input[:, 1].tolist()))
     backend = DenseConflictGraph if dense else SparseConflictGraph
     return backend(num_events, pair_input)
 
 
-def random_conflict_array(
-    num_events: int, conflict_ratio: float, seed: RngLike = None
+def _sample_conflict_ranks(
+    num_events: int, conflict_ratio: float, seed: RngLike
 ) -> np.ndarray:
-    """Sample ``round(cr * |V| (|V|-1) / 2)`` distinct conflicting pairs.
+    """Draw ``round(cr * |V| (|V|-1) / 2)`` distinct pair ranks.
 
-    Returns an ``(n, 2)`` int array with ``i < j`` per row — the form
-    :func:`ConflictGraph` ingests without any per-pair Python boxing.
-    Matches Table 4 of the paper where ``cr`` ranges over
-    {0, 0.25, 0.5, 0.75, 1}.
+    A rank is a flat index into the row-major upper triangle: row ``i``
+    owns ranks ``[offset_i, offset_i + |V| - 1 - i)``.  This is the only
+    place a random conflict set touches the generator, and it leaves
+    the generator untouched when the target is zero.
     """
     if not 0.0 <= conflict_ratio <= 1.0:
         raise ConfigurationError(f"conflict_ratio must be in [0, 1], got {conflict_ratio}")
@@ -292,17 +312,72 @@ def random_conflict_array(
     total = num_events * (num_events - 1) // 2
     target = int(round(conflict_ratio * total))
     if target == 0:
+        return np.empty(0, dtype=np.int64)
+    return make_rng(seed).choice(total, size=target, replace=False)
+
+
+def _unrank_pairs(num_events: int, ranks: np.ndarray) -> np.ndarray:
+    """The ``(n, 2)`` pairs ``(i, j)``, ``i < j``, of ``ranks``, in order."""
+    if not ranks.size:
         return np.empty((0, 2), dtype=int)
-    rng = make_rng(seed)
-    chosen = rng.choice(total, size=target, replace=False)
-    # Unrank each flat index into the (i, j) pair with i < j.
-    # Row i (0-based) owns indices [offset_i, offset_i + (|V|-1-i)).
     offsets = np.concatenate(
         [[0], np.cumsum(num_events - 1 - np.arange(num_events - 1))]
     )
-    rows = np.searchsorted(offsets, chosen, side="right") - 1
-    cols = chosen - offsets[rows] + rows + 1
+    rows = np.searchsorted(offsets, ranks, side="right") - 1
+    cols = ranks - offsets[rows] + rows + 1
     return np.stack([rows, cols], axis=1).astype(int, copy=False)
+
+
+def random_conflict_graph(
+    num_events: int, conflict_ratio: float, seed: RngLike = None
+) -> BaseConflictGraph:
+    """The conflict graph of :func:`random_conflict_array`'s draw.
+
+    Equal to ``ConflictGraph(num_events, random_conflict_array(...))``
+    for the same seed — same backend, same pairs, same generator use —
+    but the dense backend is filled from the ranks directly: a flat
+    upper-triangle mask of ``|V| (|V|-1) / 2`` bytes, one contiguous
+    slice copy per row, then a tiled mirror of the upper triangle.  The
+    matrix depends only on the set of ranks, so the order the pair path
+    would scatter them in does not matter.  At |V| = 10^4 and cr = 0.25
+    this skips unranking and scattering 12.5M pairs.
+    """
+    ranks = _sample_conflict_ranks(num_events, conflict_ratio, seed)
+    if not _prefers_dense(num_events, ranks.size):
+        return ConflictGraph(num_events, _unrank_pairs(num_events, ranks), dense=False)
+    upper = np.zeros(num_events * (num_events - 1) // 2, dtype=bool)
+    upper[ranks] = True
+    del ranks  # 8 bytes a pair: free them before the |V|^2 matrix
+    graph = DenseConflictGraph(num_events)
+    matrix = graph._matrix
+    offset = 0
+    for i in range(num_events - 1):
+        length = num_events - 1 - i
+        matrix[i, i + 1 :] = upper[offset : offset + length]
+        offset += length
+    del upper
+    # Mirror the upper triangle in cache-resident 256 x 256 tiles: a
+    # whole-matrix ``matrix |= matrix.T`` reads the transpose with a
+    # |V|-byte stride and is ~4x slower at |V| = 10^4 (same result).
+    tile = 256
+    for r0 in range(0, num_events, tile):
+        for c0 in range(r0, num_events, tile):
+            matrix[c0 : c0 + tile, r0 : r0 + tile] |= matrix[r0 : r0 + tile, c0 : c0 + tile].T
+    return graph
+
+
+def random_conflict_array(
+    num_events: int, conflict_ratio: float, seed: RngLike = None
+) -> np.ndarray:
+    """Sample ``round(cr * |V| (|V|-1) / 2)`` distinct conflicting pairs.
+
+    Returns an ``(n, 2)`` int array with ``i < j`` per row, in draw
+    order — the form :func:`ConflictGraph` ingests without any per-pair
+    Python boxing.  Matches Table 4 of the paper where ``cr`` ranges
+    over {0, 0.25, 0.5, 0.75, 1}.
+    """
+    ranks = _sample_conflict_ranks(num_events, conflict_ratio, seed)
+    return _unrank_pairs(num_events, ranks)
 
 
 def random_conflicts(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from typing import Callable, Tuple, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from repro.bandits.base import Policy
 from repro.datasets.synthetic import SyntheticWorld
@@ -41,23 +41,39 @@ def time_policy_rounds(
     histogram is merged into ``metrics.round_seconds.<policy>`` so
     resource studies appear in run telemetry.
     """
+    return time_policies_rounds([policy], world, rounds, run_seed=run_seed)[0]
+
+
+def time_policies_rounds(
+    policies: Sequence[Policy], world: SyntheticWorld, rounds: int, run_seed: int = 0
+) -> List[float]:
+    """:func:`time_policy_rounds` for several policies in lockstep.
+
+    Each policy plays its own environment (fresh streams, as if timed
+    alone), but round ``t`` of every policy runs before round ``t + 1``
+    of any, so a slow stretch of the machine lands on all of them
+    alike.  Orderings measured this way stay stable on a noisy host
+    where back-to-back timings swap policies a few microseconds apart.
+    """
     if rounds < 1:
         raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-    env = FaseaEnvironment(world, run_seed=run_seed)
-    timer = Timer(f"metrics.round_seconds.{policy.name}")
+    envs = [FaseaEnvironment(world, run_seed=run_seed) for _ in policies]
+    timers = [Timer(f"metrics.round_seconds.{policy.name}") for policy in policies]
     for _ in range(rounds):
-        view = env.begin_round()
-        start = time.perf_counter()
-        arrangement = policy.select(view)
-        timer.observe(time.perf_counter() - start)
-        rewards, _ = env.commit(arrangement)
-        start = time.perf_counter()
-        policy.observe(view, arrangement, rewards)
-        timer.observe(time.perf_counter() - start)
+        for policy, env, timer in zip(policies, envs, timers):
+            view = env.begin_round()
+            start = time.perf_counter()
+            arrangement = policy.select(view)
+            timer.observe(time.perf_counter() - start)
+            rewards, _ = env.commit(arrangement)
+            start = time.perf_counter()
+            policy.observe(view, arrangement, rewards)
+            timer.observe(time.perf_counter() - start)
     obs = current()
     if obs.enabled:
-        obs.timer(timer.name).histogram.merge(timer.histogram)
-    return timer.total / rounds
+        for timer in timers:
+            obs.timer(timer.name).histogram.merge(timer.histogram)
+    return [timer.total / rounds for timer in timers]
 
 
 def measure_memory(fn: Callable[[], T]) -> Tuple[T, int]:

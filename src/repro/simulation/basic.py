@@ -25,6 +25,4 @@ def build_basic_world(config: SyntheticConfig) -> SyntheticWorld:
     )
     world = build_world(basic_config)
     world.capacities = np.full(basic_config.num_events, math.inf)
-    return SyntheticWorld(
-        basic_config, world.theta, world.capacities, conflict_pairs=[]
-    )
+    return SyntheticWorld(basic_config, world.theta, world.capacities, conflicts=[])

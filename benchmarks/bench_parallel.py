@@ -10,8 +10,9 @@ Standalone script (not a pytest-benchmark module): it times
 2. the batched rank-k Woodbury ``RidgeState.update_batch`` against the
    equivalent loop of rank-1 Sherman--Morrison ``update`` calls;
 3. cached versus uncached ``theta_hat`` reads;
-4. the argpartition top-k prefix path of ``oracle_greedy`` against the
-   full stable sort on a large catalogue, asserting equal output.
+4. the top-k prefix path of ``oracle_greedy`` against an
+   Algorithm 2 full stable sort + scan kept here, on a large catalogue,
+   asserting equal output.
 
 Results land in ``BENCH_parallel.json`` (see ``--out``); ``make
 bench-perf`` is the one-command entry point.  Every timing is a
@@ -199,14 +200,18 @@ def bench_oracle_topk(
     def topk() -> List[int]:
         return greedy.oracle_greedy(scores, conflicts, capacities, user_capacity)
 
-    gate = greedy._PREFIX_MIN_EVENTS
-
     def full_sort() -> List[int]:
-        greedy._PREFIX_MIN_EVENTS = num_events + 1  # force the sort path
-        try:
-            return greedy.oracle_greedy(scores, conflicts, capacities, user_capacity)
-        finally:
-            greedy._PREFIX_MIN_EVENTS = gate
+        """Algorithm 2 as written: stable sort of every event, then scan."""
+        arrangement: List[int] = []
+        blocked = np.zeros(num_events, dtype=bool)
+        for event_id in np.argsort(-scores, kind="stable").tolist():
+            if len(arrangement) >= user_capacity:
+                break
+            if capacities[event_id] <= 0 or blocked[event_id]:
+                continue
+            arrangement.append(event_id)
+            blocked |= conflicts.neighbor_mask_view(event_id)
+        return arrangement
 
     if topk() != full_sort():  # identical output, tie-break included
         raise AssertionError("top-k prefix oracle diverged from the full sort")

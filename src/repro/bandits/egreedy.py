@@ -17,8 +17,6 @@ from repro.bandits.linear import LinearModel
 from repro.exceptions import ConfigurationError
 from repro.linalg.sampling import RngLike, make_rng
 from repro.obs.flight import rng_fingerprint
-from repro.oracle.greedy import OracleStats
-from repro.oracle.random_order import random_arrangement
 
 #: Emit-site metric names (FAS016).
 EXPLORE_ROUNDS_METRIC = "explore_rounds"
@@ -86,26 +84,10 @@ class EpsilonGreedyPolicy(Policy):
                 rng=rng_state,
             )
         if explore:
-            if not obs.enabled and not capture:
-                return random_arrangement(
-                    conflicts=view.conflicts,
-                    remaining_capacities=view.remaining_capacities,
-                    user_capacity=view.user.capacity,
-                    rng=self._rng,
-                )
-            stats = OracleStats()
-            arrangement = random_arrangement(
-                conflicts=view.conflicts,
-                remaining_capacities=view.remaining_capacities,
-                user_capacity=view.user.capacity,
-                rng=self._rng,
-                stats=stats,
+            num_events = view.conflicts.num_events
+            return self._run_oracle(
+                view, np.zeros(num_events), order=self._rng.permutation(num_events)
             )
-            if obs.enabled:
-                self._record_oracle_stats(view, stats)
-            if capture:
-                self._stash_oracle_stats(stats)
-            return arrangement
         scores = self.model.predict(view.contexts)
         if capture and self._decision is not None:
             self._decision["scores"] = [float(v) for v in scores]

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.bandits.base import Policy, RoundView
 from repro.linalg.sampling import RngLike, make_rng
 from repro.obs.flight import rng_fingerprint
-from repro.oracle.greedy import OracleStats
-from repro.oracle.random_order import random_arrangement
 
 
 class RandomPolicy(Policy):
@@ -24,9 +24,7 @@ class RandomPolicy(Policy):
         self._rng = make_rng(seed)
 
     def select(self, view: RoundView) -> List[int]:
-        obs = self._obs
-        capture = self._capture_decisions
-        if capture:
+        if self._capture_decisions:
             # Uniform over feasible arrangements; the per-arrangement
             # density is not logged, so the propensity is None.
             self._stash_decision(
@@ -34,23 +32,7 @@ class RandomPolicy(Policy):
                 propensity=None,
                 rng=rng_fingerprint(self._rng),
             )
-        if not obs.enabled and not capture:
-            return random_arrangement(
-                conflicts=view.conflicts,
-                remaining_capacities=view.remaining_capacities,
-                user_capacity=view.user.capacity,
-                rng=self._rng,
-            )
-        stats = OracleStats()
-        arrangement = random_arrangement(
-            conflicts=view.conflicts,
-            remaining_capacities=view.remaining_capacities,
-            user_capacity=view.user.capacity,
-            rng=self._rng,
-            stats=stats,
+        num_events = view.conflicts.num_events
+        return self._run_oracle(
+            view, np.zeros(num_events), order=self._rng.permutation(num_events)
         )
-        if obs.enabled:
-            self._record_oracle_stats(view, stats)
-        if capture:
-            self._stash_oracle_stats(stats)
-        return arrangement

@@ -8,20 +8,24 @@ arranged.  Events with non-positive estimated reward are deliberately
 enter when nothing better fits, and their true reward may be positive.
 
 Complexity: the paper's analysis budgets ``O(|V| log |V|)`` for the
-sort plus ``O(c_u |V|)`` conflict checks.  Because an arrangement holds
-at most ``c_u`` events and typically ``c_u`` is much smaller than
-``|V|``, the implementation first materialises only a top-``m`` score
-prefix via ``argpartition`` (``O(|V| + m log m)``) and falls back to
-ordering the remaining events only when conflicts or exhausted
-capacities burn through the whole prefix.  The visiting order — and
-therefore the returned arrangement, ascending-id tie-break included —
-is identical to a full stable sort.
+sort plus ``O(c_u |V|)`` conflict checks.  An event without capacity can
+never be arranged, so the implementation first drops those (one
+``O(|V|)`` mask) and orders only the ``L`` live events: an
+``np.partition`` top-``m`` prefix with ``m = max(4 c_u, 16)``
+(``O(L + m log m)``), continued over the strictly worse remainder only
+when conflicts burn through the whole prefix.  The same path runs at
+every ``|V|``; a stable sort of the live events serves only when the
+prefix would hold them all or degenerates (NaN cutoff, ties covering
+every event).  Drained events are never sorted or stepped through.
+The visiting order of the live events — and therefore the returned
+arrangement, ascending-id tie-break included — is identical to a full
+stable sort of every event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -33,30 +37,27 @@ FloatArray = npt.NDArray[np.float64]
 BoolArray = npt.NDArray[np.bool_]
 IntArray = npt.NDArray[np.int_]
 
-#: The argpartition prefix holds ``max(PREFIX_FACTOR * c_u, PREFIX_MIN)``
-#: candidates — slack for entries lost to conflicts and full events.
+#: The top-m prefix holds ``max(PREFIX_FACTOR * c_u, PREFIX_MIN)``
+#: candidates — slack for entries lost to conflicts.
 _PREFIX_FACTOR = 4
 _PREFIX_MIN = 16
-#: Below this many events a full stable sort is cheaper than the
-#: argpartition machinery (measured crossover is ~500 events; the
-#: prefix path wins 2x at |V|=1000 and ~8x at |V|=4000).
-_PREFIX_MIN_EVENTS = 512
 
 
 @dataclass
 class OracleStats:
     """Per-call diagnostics of one Oracle-Greedy invocation.
 
-    Filled only when a caller passes ``stats=`` to :func:`oracle_greedy`
-    — the default path runs the original scan untouched, so disabled
-    instrumentation pays nothing inside the hot loop.
+    Filled only when a caller passes ``stats=`` to :func:`oracle_greedy`.
+    The counts are derived after the scan from where its last pick sits
+    in the full visiting order, so the scan itself is the same loop
+    with or without instrumentation.
 
     Attributes
     ----------
     candidates:
         Events with remaining capacity at call time (the feasible pool).
     visited:
-        Events the greedy scan actually inspected.
+        Events the greedy scan of every event would have inspected.
     capacity_rejections:
         Visited events skipped because their capacity was exhausted.
     conflict_rejections:
@@ -81,72 +82,95 @@ class OracleStats:
 
 
 def _greedy_scan(
-    visit_order: IntArray,
+    live_order: IntArray,
     conflicts: BaseConflictGraph,
-    remaining_capacities: FloatArray,
     user_capacity: int,
     arrangement: List[int],
     blocked: BoolArray,
 ) -> None:
-    """Scan ``visit_order`` appending feasible events (mutates in place)."""
-    for event_id in visit_order.tolist():
-        if len(arrangement) >= user_capacity:
-            return
-        if remaining_capacities[event_id] <= 0 or blocked[event_id]:
-            continue
-        arrangement.append(int(event_id))
-        blocked |= conflicts.neighbor_mask_view(event_id)
+    """Append the unblocked events of ``live_order`` until ``c_u`` are
+    arranged (mutates in place).
 
-
-def _greedy_scan_stats(
-    visit_order: IntArray,
-    conflicts: BaseConflictGraph,
-    remaining_capacities: FloatArray,
-    user_capacity: int,
-    arrangement: List[int],
-    blocked: BoolArray,
-    stats: OracleStats,
-) -> None:
-    """:func:`_greedy_scan` with per-skip accounting.
-
-    A separate function (rather than ``if stats`` checks inside the
-    loop) keeps the uninstrumented scan byte-identical to PR 1's
-    kernel; the appended events are the same either way.
+    Iterates the array lazily: a scan that fills up after a handful of
+    events never converts the rest of the order to Python ints.
     """
-    for event_id in visit_order.tolist():
-        if len(arrangement) >= user_capacity:
-            return
-        stats.visited += 1
-        if remaining_capacities[event_id] <= 0:
-            stats.capacity_rejections += 1
-            continue
+    for event_id in live_order:
         if blocked[event_id]:
-            stats.conflict_rejections += 1
             continue
         arrangement.append(int(event_id))
-        blocked |= conflicts.neighbor_mask_view(event_id)
+        if len(arrangement) >= user_capacity:
+            return
+        blocked |= conflicts.neighbor_mask_view(arrangement[-1])
 
 
 def _top_prefix_order(scores: FloatArray, prefix: int) -> Optional[IntArray]:
-    """Ids of every event scoring at least the ``prefix``-th best, in
+    """Indices of every entry scoring at least the ``prefix``-th best, in
     exactly the order a full stable sort on ``-scores`` would visit them.
 
     Returns ``None`` when the tied tail around the cutoff makes the
     prefix degenerate (no better than sorting everything).
     """
-    part = np.argpartition(-scores, prefix - 1)[:prefix]
-    cutoff = scores[part].min()
+    # The ``prefix``-th best score; NaN (sorted last) when fewer than
+    # ``prefix`` scores are numbers.
+    cutoff = -np.partition(-scores, prefix - 1)[prefix - 1]
     if np.isnan(cutoff):  # un-orderable scores: let the full sort decide
         return None
-    # Everything scoring strictly above ``cutoff`` lies inside ``part``;
-    # events tied *at* the cutoff may straddle the partition boundary,
-    # so take all of them to keep the ascending-id tie-break exact.
+    # Entries tied *at* the cutoff may outnumber the prefix's free
+    # slots, so take all of them to keep the ascending-id tie-break exact.
     candidates = np.flatnonzero(scores >= cutoff)
     if candidates.size >= scores.size:
         return None
-    # ``candidates`` is ascending by id; a stable sort on the negated
-    # scores therefore reproduces the global tie-break.
+    # ``candidates`` is ascending; a stable sort on the negated scores
+    # therefore reproduces the global tie-break.
     return candidates[np.argsort(-scores[candidates], kind="stable")]
+
+
+def _ahead_by_score(scores: FloatArray, event_id: int) -> BoolArray:
+    """Events a stable sort on ``-scores`` visits before ``event_id``."""
+    score = scores[event_id]
+    if np.isnan(score):  # NaN sorts last: every number, then lower ids
+        ahead: BoolArray = ~np.isnan(scores)
+        ahead[:event_id] = True
+        return ahead
+    ahead = scores > score
+    ahead[:event_id] |= scores[:event_id] == score
+    return ahead
+
+
+def _ahead_in_order(order: IntArray, event_id: int) -> BoolArray:
+    """Events ``order`` visits before ``event_id``."""
+    ahead: BoolArray = np.zeros(order.size, dtype=bool)
+    ahead[order[: int(np.flatnonzero(order == event_id)[0])]] = True
+    return ahead
+
+
+def _fill_stats(
+    stats: OracleStats,
+    arrangement: List[int],
+    user_capacity: int,
+    capacities: FloatArray,
+    dead: BoolArray,
+    ahead_of: Callable[[int], BoolArray],
+) -> None:
+    """Derive what a scan over every event would have counted.
+
+    That scan stops right after the ``c_u``-th pick, having visited it
+    and everything ahead of it; a short arrangement means it visited
+    all of ``V``.  Visited dead events are capacity rejections, and the
+    other visited events that were not arranged are conflict rejections.
+    """
+    if len(arrangement) < user_capacity:
+        visited, capacity_rejections = dead.size, int(dead.sum())
+    else:
+        ahead = ahead_of(arrangement[-1])
+        visited = int(ahead.sum()) + 1
+        capacity_rejections = int((ahead & dead).sum())
+    stats.user_capacity = int(user_capacity)
+    stats.candidates = int((capacities > 0).sum())  # NaN: live, not a candidate
+    stats.visited += visited
+    stats.capacity_rejections += capacity_rejections
+    stats.conflict_rejections += visited - capacity_rejections - len(arrangement)
+    stats.arranged = len(arrangement)
 
 
 def oracle_greedy(
@@ -176,8 +200,7 @@ def oracle_greedy(
         overrides the score sort when given.
     stats:
         Optional :class:`OracleStats` to fill with per-call diagnostics
-        (candidate pool size, skip reasons, fill rate).  ``None`` (the
-        default) runs the original uninstrumented scan — the returned
+        (candidate pool size, skip reasons, fill rate).  The returned
         arrangement is identical either way.
 
     Returns
@@ -204,9 +227,9 @@ def oracle_greedy(
 
     arrangement: List[int] = []
     blocked: BoolArray = np.zeros(score_vec.size, dtype=bool)
-    if stats is not None:
-        stats.user_capacity = int(user_capacity)
-        stats.candidates = int((capacity_vec > 0).sum())
+    # A NaN capacity stays live: ``NaN <= 0`` is false.  Each path below
+    # skips its O(|V|) liveness gather when nothing is drained.
+    dead: BoolArray = capacity_vec <= 0
 
     if order is not None:
         visit_order: IntArray = np.asarray(order, dtype=int).reshape(-1)
@@ -218,74 +241,45 @@ def oracle_greedy(
             or not (np.bincount(visit_order, minlength=score_vec.size) == 1).all()
         ):
             raise ConfigurationError("order must be a permutation of all event ids")
-        _scan(
-            visit_order, conflicts, capacity_vec, user_capacity,
-            arrangement, blocked, stats,
-        )
-        return _finish(arrangement, stats)
+        live_order = visit_order[~dead[visit_order]] if dead.any() else visit_order
+        _greedy_scan(live_order, conflicts, user_capacity, arrangement, blocked)
+        if stats is not None:
+            _fill_stats(
+                stats, arrangement, user_capacity, capacity_vec, dead,
+                lambda event_id: _ahead_in_order(visit_order, event_id),
+            )
+        return arrangement
 
+    # Order the live events only; ``head`` and ``rest`` index ``live_scores``.
+    live: Optional[IntArray] = np.flatnonzero(~dead) if dead.any() else None
+    live_scores = score_vec if live is None else score_vec[live]
     prefix = max(_PREFIX_FACTOR * user_capacity, _PREFIX_MIN)
-    prefix_order = (
-        _top_prefix_order(score_vec, prefix)
-        if score_vec.size >= _PREFIX_MIN_EVENTS and prefix < score_vec.size
-        else None
+    head = (
+        _top_prefix_order(live_scores, prefix) if prefix < live_scores.size else None
     )
-    if prefix_order is not None:
-        _scan(
-            prefix_order, conflicts, capacity_vec, user_capacity,
-            arrangement, blocked, stats,
-        )
-        if len(arrangement) >= user_capacity:
-            return _finish(arrangement, stats)
-        # Prefix exhausted by conflicts/capacity: order the strictly
-        # worse remainder and keep scanning with the same state.  The
+    if head is None:
+        # Stable sort on (-score): non-increasing score, ascending-id ties.
+        head = np.argsort(-live_scores, kind="stable")
+    _greedy_scan(
+        head if live is None else live[head],
+        conflicts, user_capacity, arrangement, blocked,
+    )
+    if len(arrangement) < user_capacity and head.size < live_scores.size:
+        # Prefix exhausted by conflicts: order the strictly worse
+        # remainder and keep scanning with the same state.  The
         # concatenation [prefix order, remainder order] is exactly the
-        # full stable sort, so the result is unchanged.
-        cutoff = score_vec[prefix_order[-1]]
-        # ``~(>= cutoff)`` rather than ``< cutoff`` so un-orderable
-        # (NaN) entries still get visited, last, as a full sort would.
-        rest = np.flatnonzero(~(score_vec >= cutoff))
-        rest_order = rest[np.argsort(-score_vec[rest], kind="stable")]
-        _scan(
-            rest_order, conflicts, capacity_vec, user_capacity,
-            arrangement, blocked, stats,
-        )
-        return _finish(arrangement, stats)
-
-    # Stable sort on (-score) gives non-increasing score with
-    # ascending-id tie-break.
-    full_order: IntArray = np.argsort(-score_vec, kind="stable")
-    _scan(
-        full_order, conflicts, capacity_vec, user_capacity,
-        arrangement, blocked, stats,
-    )
-    return _finish(arrangement, stats)
-
-
-def _scan(
-    visit_order: IntArray,
-    conflicts: BaseConflictGraph,
-    remaining_capacities: FloatArray,
-    user_capacity: int,
-    arrangement: List[int],
-    blocked: BoolArray,
-    stats: Optional[OracleStats],
-) -> None:
-    """Dispatch to the plain or stats-collecting scan exactly once."""
-    if stats is None:
+        # full stable sort, so the result is unchanged.  ``~(>= cutoff)``
+        # rather than ``< cutoff`` so un-orderable (NaN) entries still
+        # get visited, last, as a full sort would.
+        rest = np.flatnonzero(~(live_scores >= live_scores[head[-1]]))
+        rest = rest[np.argsort(-live_scores[rest], kind="stable")]
         _greedy_scan(
-            visit_order, conflicts, remaining_capacities, user_capacity,
-            arrangement, blocked,
+            rest if live is None else live[rest],
+            conflicts, user_capacity, arrangement, blocked,
         )
-    else:
-        _greedy_scan_stats(
-            visit_order, conflicts, remaining_capacities, user_capacity,
-            arrangement, blocked, stats,
-        )
-
-
-def _finish(arrangement: List[int], stats: Optional[OracleStats]) -> List[int]:
-    """Record the arrangement size on ``stats`` and pass it through."""
     if stats is not None:
-        stats.arranged = len(arrangement)
+        _fill_stats(
+            stats, arrangement, user_capacity, capacity_vec, dead,
+            lambda event_id: _ahead_by_score(score_vec, event_id),
+        )
     return arrangement

@@ -6,7 +6,6 @@ import pytest
 from repro.bandits import POLICY_NAMES, OptPolicy, RandomPolicy, UcbPolicy, make_policy
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.exceptions import ConfigurationError
-from repro.oracle.greedy import _PREFIX_MIN_EVENTS
 from repro.simulation.fleet import run_policy_fleet
 from repro.simulation.runner import run_policy
 
@@ -81,9 +80,10 @@ def test_fleet_capacities_evolve_independently(small_world):
 #: path runs through the fleet, so this is the check that it still
 #: matches running each policy on its own.
 REGIMES = {
-    # Above the oracle's switch to the top-m prefix scan.
+    # A catalogue where the oracle's top-m prefix is far shorter than
+    # the live events.
     "prefix_oracle": SyntheticConfig(
-        num_events=_PREFIX_MIN_EVENTS + 88, horizon=25, dim=4,
+        num_events=600, horizon=25, dim=4,
         capacity_mean=50.0, capacity_std=5.0, seed=1,
     ),
     # 24 seats in all: OPT fills every one well before the horizon.
@@ -118,7 +118,7 @@ def regime_fleet(request):
 def test_regime_worlds_are_in_their_regimes(regime_fleet):
     regime, world, fleet = regime_fleet
     if regime == "prefix_oracle":
-        assert len(world.capacities) >= _PREFIX_MIN_EVENTS
+        assert len(world.capacities) >= 512
     elif regime == "drained":
         opt = fleet["OPT"]
         assert opt.total_reward == world.capacities.sum()

@@ -2,8 +2,9 @@
 
 Property test over random, heavily tied and NaN-laced scores, on both
 conflict-graph backends and on graphs from ``random_conflict_graph``,
-for the full-sort path (|V| < 512) and the top-m prefix path
-(|V| >= 512 with a prefix shorter than |V|).
+on small catalogues (|V| < 512, where the top-m prefix often holds
+every live event and a stable sort serves) and on large ones (|V| >=
+512, where the prefix is always shorter than the catalogue).
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.ebsn.conflicts import (
     random_conflict_array,
     random_conflict_graph,
 )
-from repro.oracle.greedy import _PREFIX_MIN_EVENTS, oracle_greedy
+from repro.oracle.greedy import oracle_greedy
 
 
 def make_graph(kind, num_events, ratio, seed):
@@ -36,11 +37,13 @@ def make_scores(kind, rng, num_events):
     return scores
 
 
-#: (|V| range, c_u range): the first never reaches the prefix path; the
-#: second always takes it, since max(4 c_u, 16) <= 80 < |V|.
+#: (|V| range, c_u range): the first reaches the stable sort of the
+#: live events whenever max(4 c_u, 16) covers them; the second starts
+#: from the top-m prefix, since max(4 c_u, 16) <= 80 is far below the
+#: live count (about two thirds of |V| >= 512).
 REGIMES = {
-    "full_sort": ((1, _PREFIX_MIN_EVENTS - 1), (1, 12)),
-    "prefix": ((_PREFIX_MIN_EVENTS, _PREFIX_MIN_EVENTS + 200), (1, 20)),
+    "full_sort": ((1, 511), (1, 12)),
+    "prefix": ((512, 712), (1, 20)),
 }
 
 

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ebsn.conflicts import ConflictGraph
+from repro.ebsn.conflicts import (
+    ConflictGraph,
+    DenseConflictGraph,
+    SparseConflictGraph,
+    random_conflict_array,
+)
 from repro.exceptions import ConfigurationError
-from repro.oracle.greedy import oracle_greedy
+from repro.oracle.greedy import OracleStats, oracle_greedy
 
 
 def graph(num_events, pairs=()):
@@ -88,7 +95,7 @@ def test_no_available_events_yields_empty():
 
 
 # ----------------------------------------------------------------------
-# Top-k prefix scan ≡ full stable sort
+# Live-event top-k prefix scan ≡ Algorithm 2's full stable sort
 # ----------------------------------------------------------------------
 def reference_oracle_greedy(scores, conflicts, remaining, user_capacity):
     """The pre-optimisation implementation: full stable sort + scan."""
@@ -105,17 +112,34 @@ def reference_oracle_greedy(scores, conflicts, remaining, user_capacity):
     return arrangement
 
 
-def patch_gate(monkeypatch):
-    """Force the prefix path on small instances (the production gate
-    only engages it at >= _PREFIX_MIN_EVENTS events)."""
-    import repro.oracle.greedy as greedy_module
+def reference_oracle_stats(scores, conflicts, remaining, user_capacity, order=None):
+    """Algorithm 2 over every event (``order``, else the full stable
+    sort) with per-skip accounting: the arrangement and the
+    :class:`OracleStats` the oracle must report."""
+    if order is None:
+        order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
+    stats = OracleStats(
+        candidates=int((remaining > 0).sum()), user_capacity=user_capacity
+    )
+    arrangement = []
+    blocked = np.zeros(len(scores), dtype=bool)
+    for event_id in np.asarray(order).tolist():
+        if len(arrangement) >= user_capacity:
+            break
+        stats.visited += 1
+        if remaining[event_id] <= 0:
+            stats.capacity_rejections += 1
+        elif blocked[event_id]:
+            stats.conflict_rejections += 1
+        else:
+            arrangement.append(int(event_id))
+            blocked |= conflicts.neighbor_mask(event_id)
+    stats.arranged = len(arrangement)
+    return arrangement, stats
 
-    monkeypatch.setattr(greedy_module, "_PREFIX_MIN_EVENTS", 0)
 
-
-def test_topk_matches_full_sort_with_ties_at_the_cutoff(monkeypatch):
-    """Many events tied exactly at the argpartition cutoff value."""
-    patch_gate(monkeypatch)
+def test_topk_matches_full_sort_with_ties_at_the_cutoff():
+    """Many events tied exactly at the top-m prefix cutoff value."""
     n = 100
     scores = np.zeros(n)
     scores[:5] = 2.0       # clear winners
@@ -125,9 +149,8 @@ def test_topk_matches_full_sort_with_ties_at_the_cutoff(monkeypatch):
     assert result == [0, 1, 2]
 
 
-def test_topk_falls_back_when_conflicts_exhaust_the_prefix(monkeypatch):
+def test_topk_falls_back_when_conflicts_exhaust_the_prefix():
     """A clique over the whole prefix forces the full-sort continuation."""
-    patch_gate(monkeypatch)
     n = 80
     user_capacity = 2
     prefix = max(4 * user_capacity, 16)
@@ -142,8 +165,7 @@ def test_topk_falls_back_when_conflicts_exhaust_the_prefix(monkeypatch):
     assert result == [n - 1, n - prefix - 1]
 
 
-def test_topk_falls_back_when_capacities_exhaust_the_prefix(monkeypatch):
-    patch_gate(monkeypatch)
+def test_topk_falls_back_when_capacities_exhaust_the_prefix():
     n = 60
     scores = np.arange(n, dtype=float)
     remaining = np.ones(n)
@@ -154,10 +176,9 @@ def test_topk_falls_back_when_capacities_exhaust_the_prefix(monkeypatch):
 
 
 @pytest.mark.parametrize("trial", range(25))
-def test_topk_matches_full_sort_on_adversarial_random_instances(trial, monkeypatch):
+def test_topk_matches_full_sort_on_adversarial_random_instances(trial):
     """Randomised duels: discretised scores (heavy ties), dense conflicts,
     random zero capacities, capacities occasionally exceeding |V|."""
-    patch_gate(monkeypatch)
     rng = np.random.default_rng(trial)
     n = int(rng.integers(2, 120))
     # Coarse discretisation forces ties everywhere, including at the cutoff.
@@ -176,3 +197,73 @@ def test_topk_matches_full_sort_on_adversarial_random_instances(trial, monkeypat
     user_capacity = int(rng.integers(1, n + 2))
     result = oracle_greedy(scores, g, remaining, user_capacity)
     assert result == reference_oracle_greedy(scores, g, remaining, user_capacity)
+
+
+def make_scores(kind, rng, num_events):
+    if kind == "tied":
+        return rng.integers(0, 4, size=num_events) / 2.0
+    if kind == "zero":
+        return np.zeros(num_events)
+    if kind == "inf":
+        scores = rng.choice([-np.inf, -1.0, 0.0, 1.0, np.inf], size=num_events)
+        scores[rng.uniform(size=num_events) < 0.1] = np.nan
+        return scores
+    scores = rng.normal(size=num_events)
+    if kind == "nan":
+        # Mostly-NaN catalogues make arrangements end on NaN-scored picks.
+        scores[rng.uniform(size=num_events) < rng.choice([0.3, 0.9])] = np.nan
+    return scores
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_events=st.integers(1, 60) | st.integers(500, 640),
+    user_capacity=st.integers(1, 25),
+    score_kind=st.sampled_from(["random", "tied", "nan", "inf", "zero"]),
+    drained=st.sampled_from([0.0, 2 / 3, 1.0]),
+    nan_capacities=st.booleans(),
+    backend=st.sampled_from([DenseConflictGraph, SparseConflictGraph]),
+    ratio=st.sampled_from([0.0, 0.02, 0.25, 0.6]),
+    random_order=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_oracle_matches_algorithm2_reference_with_stats(
+    num_events, user_capacity, score_kind, drained, nan_capacities,
+    backend, ratio, random_order, seed,
+):
+    """Same arrangement and all six OracleStats fields as the literal
+    Algorithm 2 scan, on both the score path and the ``order=`` path."""
+    rng = np.random.default_rng(seed)
+    scores = make_scores(score_kind, rng, num_events)
+    remaining = rng.integers(1, 4, size=num_events).astype(float)
+    remaining[rng.permutation(num_events)[: round(drained * num_events)]] = 0.0
+    if nan_capacities:
+        remaining[rng.uniform(size=num_events) < 0.2] = np.nan
+    conflicts = backend(num_events, random_conflict_array(num_events, ratio, seed))
+    order = rng.permutation(num_events) if random_order else None
+
+    stats = OracleStats()
+    result = oracle_greedy(
+        scores, conflicts, remaining, user_capacity, order=order, stats=stats
+    )
+    expected, expected_stats = reference_oracle_stats(
+        scores, conflicts, remaining, user_capacity, order
+    )
+    assert result == expected
+    assert stats == expected_stats
+    assert oracle_greedy(scores, conflicts, remaining, user_capacity, order=order) == (
+        expected
+    )
+
+
+def test_stats_count_nan_scored_events_ahead_by_id():
+    """A NaN-scored last pick: every number and the lower-id NaNs were
+    visited before it (here the drained event 0)."""
+    scores = np.array([np.nan, np.nan, np.nan, 1.0])
+    remaining = np.array([0.0, 1.0, 1.0, 1.0])
+    stats = OracleStats()
+    result = oracle_greedy(scores, graph(4), remaining, 2, stats=stats)
+    expected, expected_stats = reference_oracle_stats(scores, graph(4), remaining, 2)
+    assert result == expected == [3, 1]
+    assert stats == expected_stats
+    assert (stats.visited, stats.capacity_rejections) == (3, 1)

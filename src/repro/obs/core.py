@@ -436,7 +436,7 @@ class Instrumentation:
         # calls without threading new parameters through the whole
         # experiments package; runners fall back to them when their own
         # ``profile`` / ``stream`` arguments are None (see
-        # ``repro.simulation.runner``).  Typed loosely to avoid a
+        # ``repro.simulation.fleet.play_fleet``).  Typed loosely to avoid a
         # circular import with ``repro.obs.profile`` / ``.stream``.
         self.profile_config: Optional[Any] = None
         self.stream_sink: Optional[Any] = None

@@ -408,9 +408,9 @@ class _PolicyDetectors:
 class HealthMonitor:
     """Per-policy online detectors + the event log behind ``health.json``.
 
-    Attached as the ambient ``obs.health_monitor``; the runners feed it
-    from :func:`repro.simulation.runner.record_policy_round` inside the
-    existing round span.  Detector state is per policy; the parallel
+    Attached as the ambient ``obs.health_monitor``; the round loop
+    feeds it from :func:`repro.simulation.fleet._record_policy_round`
+    on every policy step.  Detector state is per policy; the parallel
     executor resets it per cell (:meth:`begin_cell`) on the serial path
     and gives each worker a fresh monitor, so events are identical for
     every ``jobs`` value (workers' events are drained in submission

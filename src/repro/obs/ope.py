@@ -45,6 +45,7 @@ from repro.ebsn.platform import Platform
 from repro.exceptions import ConfigurationError, SchemaError
 from repro.obs.flight import FlightLog
 from repro.obs.replay import build_policy_from_spec
+from repro.simulation.environment import RoundStream
 
 
 @dataclasses.dataclass
@@ -177,15 +178,9 @@ def evaluate_policy(
         spec["seed"] = target_seed
     target = build_policy_from_spec(spec, world)
 
-    # Regenerate the logged rounds' users and contexts exactly as the
-    # environment/fleet construct them (common random numbers).
-    root = np.random.SeedSequence(
-        entropy=run_seed, spawn_key=(world.config.seed,)
-    )
-    arrival_seq, context_seq, _ = root.spawn(3)
-    arrivals = world.make_arrivals(np.random.default_rng(arrival_seq))
-    context_rng = np.random.default_rng(context_seq)
-    sampler = world.make_context_sampler()
+    # Regenerate the logged rounds' users and contexts from the run's
+    # shared stream (common random numbers); the thresholds go unused.
+    round_stream = RoundStream(world, run_seed)
 
     # The platform replays the *logged* commits, so remaining
     # capacities evolve exactly as the behavior policy saw them.
@@ -207,8 +202,7 @@ def evaluate_policy(
                 f"behavior stream has a gap: expected round {expected_t}, "
                 f"got {t} — cannot regenerate contexts past a hole"
             )
-        user = arrivals.next_user()
-        contexts = sampler.sample(context_rng)
+        user, contexts, _ = round_stream.draw()
         view = RoundView(
             time_step=t,
             user=user,

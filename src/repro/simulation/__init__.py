@@ -1,12 +1,17 @@
 """Simulation engine: environments, the round runner, and histories.
 
+* :class:`~repro.simulation.environment.RoundStream` — the
+  common-random-numbers input stream of one ``(world, run_seed)``.
 * :class:`~repro.simulation.environment.FaseaEnvironment` — the full
   FASEA setting (capacities, conflicts, multi-event arrangements).
 * :mod:`~repro.simulation.basic` — the basic contextual bandit setting
   of Section 5.2's final experiments (no capacities/conflicts, one
   event per round).
-* :func:`~repro.simulation.runner.run_policy` — plays one policy for
-  ``T`` rounds and returns a :class:`~repro.simulation.history.History`.
+* :func:`~repro.simulation.fleet.run_policy_fleet` — the round loop:
+  plays several policies in lockstep on one shared stream.
+* :func:`~repro.simulation.runner.run_policy` — a fleet of one: plays
+  one policy for ``T`` rounds and returns a
+  :class:`~repro.simulation.history.History`.
 * :mod:`~repro.simulation.realdata` — the Damai replay loop (same user
   and contexts every round, deterministic feedback).
 """

@@ -1,4 +1,4 @@
-"""The FASEA simulation environment.
+"""The FASEA simulation environment and its shared input stream.
 
 Each round the environment reveals what Definition 3 says is revealed
 — the arriving user's capacity and one context vector per event — and,
@@ -12,11 +12,14 @@ from dedicated sub-generators, so two runs with the same world and
 to different policies.  An event is accepted iff its pre-drawn
 threshold falls below its acceptance probability, which depends only on
 the context — not on which policy asked.
+
+:class:`RoundStream` is the one place those streams are constructed
+and drawn; :class:`FaseaEnvironment`, the round loop, the trace
+recorder and off-policy evaluation all read their rounds from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +28,7 @@ from repro.bandits.base import RoundView
 from repro.datasets.synthetic import SyntheticWorld
 from repro.ebsn.ledger import LedgerEntry
 from repro.ebsn.platform import Platform
+from repro.ebsn.users import User
 from repro.exceptions import ConfigurationError
 from repro.linalg.sampling import capture_rng_state, restore_rng_state
 from repro.obs.core import InstrumentationLike, current
@@ -34,6 +38,55 @@ ENV_ROUNDS_METRIC = "env.rounds"
 ENV_COMMITS_METRIC = "env.commits"
 ENV_ARRANGED_EVENTS_METRIC = "env.arranged_events"
 ENV_ACCEPTED_EVENTS_METRIC = "env.accepted_events"
+
+
+class RoundStream:
+    """The common-random-numbers input stream of one ``(world, run_seed)``.
+
+    One :class:`~numpy.random.SeedSequence` keyed by the run seed and
+    the world seed is spawned, in this order, into the arrival, context
+    and feedback generators.  :meth:`draw` reveals one round: the user,
+    then the ``|V| x d`` context matrix, then ``|V|`` acceptance
+    thresholds.  Policy-independent by construction — capacities and
+    the ledger live on the platforms, not here.
+    """
+
+    def __init__(self, world: SyntheticWorld, run_seed: int = 0) -> None:
+        root = np.random.SeedSequence(entropy=run_seed, spawn_key=(world.config.seed,))
+        arrival_seq, context_seq, feedback_seq = root.spawn(3)
+        self.arrivals = world.make_arrivals(np.random.default_rng(arrival_seq))
+        self.context_rng = np.random.default_rng(context_seq)
+        self.feedback_rng = np.random.default_rng(feedback_seq)
+        self.sampler = world.make_context_sampler()
+        self.num_events = len(world.capacities)
+
+    def draw(self) -> Tuple[User, np.ndarray, np.ndarray]:
+        """The next round's ``(user, contexts, thresholds)``."""
+        user = self.arrivals.next_user()
+        contexts = self.sampler.sample(self.context_rng)
+        thresholds = self.feedback_rng.uniform(size=self.num_events)
+        return user, contexts, thresholds
+
+    def state_dict(self) -> Dict[str, object]:
+        """Exact stream positions: ``arrivals_*``, ``context_rng``, ``feedback_rng``."""
+        state: Dict[str, object] = {
+            f"arrivals_{key}": value for key, value in self.arrivals.state_dict().items()
+        }
+        state["context_rng"] = capture_rng_state(self.context_rng)
+        state["feedback_rng"] = capture_rng_state(self.feedback_rng)
+        return state
+
+    def restore_state(self, state: Mapping[str, object]) -> None:
+        """Restore a :meth:`state_dict` snapshot (bit-exact positions)."""
+        self.arrivals.restore_state(
+            {
+                key[len("arrivals_") :]: value
+                for key, value in state.items()
+                if key.startswith("arrivals_")
+            }
+        )
+        restore_rng_state(self.context_rng, state["context_rng"])  # type: ignore[arg-type]
+        restore_rng_state(self.feedback_rng, state["feedback_rng"])  # type: ignore[arg-type]
 
 
 class FaseaEnvironment:
@@ -54,12 +107,7 @@ class FaseaEnvironment:
         self.world = world
         self.platform = Platform(world.make_store(), world.conflicts)
         self._obs = obs if obs is not None else current()
-        root = np.random.SeedSequence(entropy=run_seed, spawn_key=(world.config.seed,))
-        arrival_seq, context_seq, feedback_seq = root.spawn(3)
-        self._arrivals = world.make_arrivals(np.random.default_rng(arrival_seq))
-        self._context_rng = np.random.default_rng(context_seq)
-        self._feedback_rng = np.random.default_rng(feedback_seq)
-        self._sampler = world.make_context_sampler()
+        self._stream = RoundStream(world, run_seed)
         self._pending: Optional[Tuple[RoundView, np.ndarray]] = None
 
     @property
@@ -85,38 +133,14 @@ class FaseaEnvironment:
             raise ConfigurationError(
                 "cannot checkpoint mid-round (begin_round without commit)"
             )
-        arrivals_state = getattr(self._arrivals, "state_dict", None)
-        if arrivals_state is None:
-            raise ConfigurationError(
-                f"{type(self._arrivals).__name__} does not support "
-                "checkpointing (no state_dict)"
-            )
-        state: Dict[str, object] = {
-            f"arrivals_{key}": value for key, value in arrivals_state().items()
-        }
-        state["context_rng"] = capture_rng_state(self._context_rng)
-        state["feedback_rng"] = capture_rng_state(self._feedback_rng)
+        state = self._stream.state_dict()
         for key, value in self.platform.state_dict().items():
             state[f"platform_{key}"] = value
         return state
 
     def restore_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot (bit-exact positions)."""
-        restore = getattr(self._arrivals, "restore_state", None)
-        if restore is None:
-            raise ConfigurationError(
-                f"{type(self._arrivals).__name__} does not support "
-                "checkpointing (no restore_state)"
-            )
-        restore(
-            {
-                key[len("arrivals_") :]: value
-                for key, value in state.items()
-                if key.startswith("arrivals_")
-            }
-        )
-        restore_rng_state(self._context_rng, state["context_rng"])  # type: ignore[arg-type]
-        restore_rng_state(self._feedback_rng, state["feedback_rng"])  # type: ignore[arg-type]
+        self._stream.restore_state(state)
         self.platform.restore_state(
             {
                 key[len("platform_") :]: value
@@ -134,9 +158,7 @@ class FaseaEnvironment:
             )
         if self._obs.enabled:
             self._obs.counter(ENV_ROUNDS_METRIC).inc()
-        user = self._arrivals.next_user()
-        contexts = self._sampler.sample(self._context_rng)
-        thresholds = self._feedback_rng.uniform(size=self.num_events)
+        user, contexts, thresholds = self._stream.draw()
         view = RoundView(
             time_step=self.platform.time_step + 1,
             user=user,

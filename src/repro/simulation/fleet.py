@@ -1,44 +1,172 @@
-"""Fleet runner: many policies, one shared input stream.
+"""The FASEA round loop: one policy or many, on one shared input stream.
 
-``run_policy`` replays the environment streams once *per policy*;
-context generation (|V| x d Gaussians per round) would then dominate
-the wall clock of every multi-policy experiment.  The fleet runner
-draws each round's user, context matrix and acceptance thresholds
-**once** and steps every policy against them in lockstep, each with
-its own platform (capacities evolve per policy, as they must).  The
-replication, grid-sweep, synthetic-figure and claim suites all run
-through here, whatever ``--jobs`` says; the executor only decides
-where each cell's fleet runs.
+The paper's Algorithms 1, 3 and 4 share one reveal → select → commit →
+observe loop (lines 3-14).  It lives here once, in :func:`play_fleet`:
+each round draws the user, context matrix and acceptance thresholds
+**once** from the run's :class:`~repro.simulation.environment.
+RoundStream` and steps every policy against them in lockstep, each with
+its own platform (capacities evolve per policy, as they must).
+Context generation (|V| x d Gaussians per round) would otherwise
+dominate the wall clock of every multi-policy experiment.
 
-The streams are constructed exactly as
-:class:`~repro.simulation.environment.FaseaEnvironment` constructs
-them, so a fleet run is *bit-for-bit identical* to running each policy
-individually with the same ``(world, run_seed)`` —
-``tests/test_fleet.py`` asserts that equivalence.
+:func:`~repro.simulation.runner.run_policy` is a fleet of one;
+:func:`run_policy_fleet` runs the replication, grid-sweep,
+synthetic-figure and claim suites, whatever ``--jobs`` says (the
+executor only decides where each cell's fleet runs).  Because every
+policy reads the same common-random-numbers stream, a policy's history
+in a fleet is *bit-for-bit identical* to its run on its own with the
+same ``(world, run_seed)`` — ``tests/test_fleet.py`` asserts that, and
+``tests/test_runner.py`` checks the loop against an independent
+:class:`~repro.simulation.environment.FaseaEnvironment` loop.
+
+Telemetry, the span profiler, streaming flushes, the flight recorder
+and round checkpoints only observe: none touches an RNG stream, so
+results are bit-identical with them on or off.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.bandits.base import Policy, RoundView
 from repro.datasets.synthetic import SyntheticWorld
+from repro.ebsn.events import EventStore
+from repro.ebsn.ledger import LedgerEntry
 from repro.ebsn.platform import Platform
 from repro.exceptions import ConfigurationError
-from repro.linalg.sampling import capture_rng_state, restore_rng_state
 from repro.metrics.kendall import kendall_tau
 from repro.obs.core import InstrumentationLike, MetricsSnapshot, current
 from repro.obs.flight import decision_record
+from repro.obs.health import (
+    CAPACITY_EXHAUSTED_METRIC,
+    FILL_RATE_SERIES_METRIC,
+    REWARD_METRIC,
+    THETA_DRIFT_METRIC,
+)
 from repro.obs.profile import ProfileConfig
 from repro.obs.stream import StreamingSink
+from repro.simulation.environment import (
+    ENV_ACCEPTED_EVENTS_METRIC,
+    ENV_ARRANGED_EVENTS_METRIC,
+    ENV_COMMITS_METRIC,
+    ENV_ROUNDS_METRIC,
+    RoundStream,
+)
 from repro.simulation.history import History, default_checkpoints
-from repro.simulation.runner import open_run_checkpointer, record_policy_round
 
 if TYPE_CHECKING:  # import cycle: repro.io.__init__ reaches back here
     from repro.io.checkpoint import CellCheckpointSpec
+
+#: Per-policy emit-site metric names (FAS016: names are constants so
+#: alert selectors cannot silently miss a typo'd emit site).
+SELECT_SECONDS_METRIC = "select_seconds"
+OBSERVE_SECONDS_METRIC = "observe_seconds"
+ROUNDS_METRIC = "rounds"
+
+
+def _record_policy_round(
+    obs: InstrumentationLike,
+    policy: Policy,
+    theta_true: np.ndarray,
+    store: EventStore,
+    entry: LedgerEntry,
+    time_step: int,
+    select_seconds: float,
+    observe_seconds: float,
+) -> None:
+    """Fold one instrumented policy step into ``obs``.
+
+    Counts the step in the ``env.*`` counters (one round, one commit,
+    its arranged and accepted events), records per-policy
+    select/observe timings, the per-round reward series, the estimate
+    drift ``||theta^ - theta||`` (policies without a model skip it),
+    and — the paper's Section 6.2 diagnostic — a capacity-exhaustion
+    event whenever an accepted registration drains an event's last
+    seat.  Never touches any RNG stream.
+    """
+    obs.counter(ENV_ROUNDS_METRIC).inc()
+    obs.counter(ENV_COMMITS_METRIC).inc()
+    obs.counter(ENV_ARRANGED_EVENTS_METRIC).inc(len(entry.arranged))
+    obs.counter(ENV_ACCEPTED_EVENTS_METRIC).inc(len(entry.accepted))
+    obs.timer(policy.obs_name(SELECT_SECONDS_METRIC)).observe(select_seconds)
+    obs.timer(policy.obs_name(OBSERVE_SECONDS_METRIC)).observe(observe_seconds)
+    reward = float(entry.reward)
+    obs.series(policy.obs_name(REWARD_METRIC)).append(time_step, reward)
+    drift: Optional[float] = None
+    estimate = policy.theta_estimate()
+    if estimate is not None:
+        drift = float(np.linalg.norm(estimate - theta_true))
+        obs.series(policy.obs_name(THETA_DRIFT_METRIC)).append(time_step, drift)
+    label = policy._obs_label or policy.name
+    monitor = getattr(obs, "health_monitor", None)
+    num_events = len(store)
+    for event_id in entry.accepted:
+        if store.remaining(event_id) <= 0.0:
+            obs.series(policy.obs_name(CAPACITY_EXHAUSTED_METRIC)).append(
+                time_step, float(event_id)
+            )
+            obs.event(
+                CAPACITY_EXHAUSTED_METRIC,
+                policy=label,
+                event_id=int(event_id),
+                time_step=time_step,
+            )
+            if monitor is not None:
+                monitor.observe_exhaustion(
+                    obs, label, time_step, int(event_id), num_events
+                )
+    if monitor is not None:
+        fill_rate: Optional[float] = None
+        fill_series = getattr(obs, "get_metric", None)
+        if fill_series is not None:
+            metric = obs.get_metric(policy.obs_name(FILL_RATE_SERIES_METRIC))
+            points = getattr(metric, "points", None)
+            if points and points[-1][0] == time_step:
+                fill_rate = float(points[-1][1])
+        monitor.observe_round(obs, label, time_step, reward, drift, fill_rate)
+
+
+def open_run_checkpointer(
+    spec: "CellCheckpointSpec",
+    obs: InstrumentationLike,
+    recording: bool,
+    flight: Optional[object],
+) -> object:
+    """Build a cell's :class:`~repro.io.checkpoint.RunCheckpointer`.
+
+    Rejects the two attachments whose internal state a round checkpoint
+    cannot capture:
+
+    * an alert engine / health monitor (windowed detector state would
+      silently reset on resume, changing firings);
+    * a disk-backed flight recorder (the resumed process would append
+      to a log that already holds the pre-crash records; checkpointing
+      requires an in-memory buffer whose contents travel inside the
+      checkpoint and are replayed exactly — which is what the executor's
+      isolated-cell mode provides).
+    """
+    from repro.io.checkpoint import RunCheckpointer
+
+    if getattr(obs, "alert_engine", None) is not None:
+        raise ConfigurationError(
+            "round checkpointing cannot capture alert-engine window state; "
+            "run without --alerts/--health or without --checkpoint"
+        )
+    if getattr(obs, "health_monitor", None) is not None:
+        raise ConfigurationError(
+            "round checkpointing cannot capture health-monitor detector "
+            "state; run without --health or without --checkpoint"
+        )
+    if recording and not hasattr(flight, "records"):
+        raise ConfigurationError(
+            "round checkpointing requires an in-memory flight buffer "
+            f"(got {type(flight).__name__}); route the run through "
+            "run_work_units, which records each cell into a FlightBuffer"
+        )
+    return RunCheckpointer(spec)
 
 
 def run_policy_fleet(
@@ -62,24 +190,61 @@ def run_policy_fleet(
     the same algorithm).  They also label the telemetry (``obs``
     defaults to :func:`repro.obs.core.current`): metrics appear as
     ``policy.<key>.*`` so two TS instances with different widths stay
-    distinguishable.
+    distinguishable.  Every other argument means what it means for
+    :func:`~repro.simulation.runner.run_policy`, applied to each policy;
+    see :func:`play_fleet` for how the loop treats them.
+    """
+    return play_fleet(
+        policies, world, horizon, run_seed, track_kendall, kendall_checkpoints, eval_contexts,
+        obs, profile, stream, flight, checkpoint,
+        span_name="run_policy_fleet", span_attrs={"policies": list(policies)},
+    )
 
-    ``profile`` enables the deterministic round-sampling profiler: on
-    sampled rounds every policy's step runs inside a ``step:<key>``
-    span (nested under the round's ``round`` span), so folded stacks
-    attribute self time per policy.  ``stream`` is offered one flush
-    opportunity per round.  Both observe only — arrangements and
-    rewards are bit-identical with them on or off.
 
-    ``checkpoint`` enables round-granular crash recovery exactly as in
-    :func:`~repro.simulation.runner.run_policy`, capturing the shared
-    input streams once plus every policy's learned/RNG/platform state
-    under per-policy prefixes.  A resumed fleet is bit-identical to an
-    uninterrupted one.
+def play_fleet(
+    policies: Dict[str, Policy],
+    world: SyntheticWorld,
+    horizon: Optional[int],
+    run_seed: int,
+    track_kendall: bool,
+    kendall_checkpoints: Optional[Sequence[int]],
+    eval_contexts: Optional[np.ndarray],
+    obs: Optional[InstrumentationLike],
+    profile: Optional[ProfileConfig],
+    stream: Optional[StreamingSink],
+    flight: Optional[object],
+    checkpoint: Optional["CellCheckpointSpec"],
+    span_name: str,
+    span_attrs: Mapping[str, object],
+) -> Dict[str, History]:
+    """The round loop behind :func:`run_policy_fleet` and ``run_policy``.
 
-    Each history's ``avg_round_time`` is that policy's own select +
-    observe seconds per round, as in ``run_policy``; the shared draws
-    and the platform commit are not part of it.
+    The whole run sits in one span named by the caller, carrying
+    ``span_attrs`` then ``horizon`` and ``run_seed``.
+
+    ``profile`` (default: the ambient ``obs.profile_config``) enables
+    the deterministic round-sampling profiler: on sampled rounds every
+    policy's step runs inside a ``step:<key>`` span, nested under the
+    round's ``round`` span, with its ``select``/``commit``/``observe``
+    phases nested inside it — so folded stacks attribute self time per
+    policy and per phase.  ``stream`` (default: ``obs.stream_sink``) is
+    offered one flush opportunity per round.  ``flight`` (default:
+    ``obs.flight_recorder``) receives one ``decision`` record per
+    policy step, labelled by the dict key.
+
+    ``checkpoint`` enables round-granular crash recovery: every
+    ``every``-th round boundary the loop atomically saves the shared
+    stream positions once, plus every policy's learned/RNG state,
+    platform, rewards and Kendall taus under per-policy prefixes, and
+    the telemetry snapshot and flight buffer.  With ``resume=True`` the
+    run continues from the saved round, bit-identical to an
+    uninterrupted one (``tests/test_checkpoint_resume`` proves it).
+
+    Kendall tau is recorded at each checkpoint the run actually
+    reaches, in round order; duplicates count once.  Each history's
+    ``avg_round_time`` is that policy's own select + observe seconds
+    per round; the shared draws and the platform commit are not part
+    of it.
     """
     if not policies:
         raise ConfigurationError("need at least one policy")
@@ -103,51 +268,28 @@ def run_policy_fleet(
             if recording:
                 policy.enable_decision_capture(True)
 
-    # Mirror FaseaEnvironment's stream construction exactly.
-    root = np.random.SeedSequence(entropy=run_seed, spawn_key=(world.config.seed,))
-    arrival_seq, context_seq, feedback_seq = root.spawn(3)
-    arrivals = world.make_arrivals(np.random.default_rng(arrival_seq))
-    context_rng = np.random.default_rng(context_seq)
-    feedback_rng = np.random.default_rng(feedback_seq)
-    sampler = world.make_context_sampler()
-
+    rounds = RoundStream(world, run_seed)
     platforms = {name: Platform(world.make_store(), world.conflicts) for name in policies}
     rewards = {name: np.zeros(horizon) for name in policies}
     arranged_counts = {name: np.zeros(horizon) for name in policies}
-    # Select + observe seconds per policy, as run_policy accumulates them.
+    # Select + observe seconds per policy.
     elapsed = {name: 0.0 for name in policies}
 
-    checkpoints: List[int] = []
     checkpoint_set = frozenset()
     taus: Dict[str, List[float]] = {name: [] for name in policies}
     true_scores: Optional[np.ndarray] = None
     if track_kendall:
-        checkpoints = (
-            list(kendall_checkpoints)
-            if kendall_checkpoints is not None
-            else default_checkpoints(horizon)
+        checkpoint_set = frozenset(
+            default_checkpoints(horizon) if kendall_checkpoints is None else kendall_checkpoints
         )
-        checkpoint_set = frozenset(checkpoints)
         if eval_contexts is None:
             eval_contexts = world.evaluation_contexts()
         true_scores = world.expected_rewards(eval_contexts)
 
-    num_events = len(world.capacities)
-
     start_round = 0
     checkpointer = None
     if checkpoint is not None:
-        from repro.io.checkpoint import (
-            CHECKPOINT_RESUMED_EVENT,
-            CHECKPOINT_SAVED_EVENT,
-            CHECKPOINT_SAVES_METRIC,
-            capture_policy_state,
-            pack_json,
-            pack_state,
-            restore_policy_state,
-            unpack_json,
-            unpack_state,
-        )
+        from repro.io import checkpoint as ckpt
 
         checkpointer = open_run_checkpointer(checkpoint, obs, recording, flight)
         stored = checkpointer.load()
@@ -158,77 +300,62 @@ def run_policy_fleet(
                     f"checkpoint is at round {start_round} but the run's "
                     f"horizon is only {horizon}"
                 )
-            shared = unpack_state("stream.", stored)
-            arrivals.restore_state(
-                {
-                    key[len("arrivals_") :]: value
-                    for key, value in shared.items()
-                    if key.startswith("arrivals_")
-                }
-            )
-            restore_rng_state(context_rng, shared["context_rng"])
-            restore_rng_state(feedback_rng, shared["feedback_rng"])
+            rounds.restore_state(ckpt.unpack_state("stream.", stored))
             for name, policy in policies.items():
-                prefix = f"p.{name}."
-                restore_policy_state(
-                    policy,
-                    {
-                        key[len(prefix) :]: value
-                        for key, value in stored.items()
-                        if key.startswith(prefix)
-                    },
-                )
-                platforms[name].restore_state(
-                    unpack_state(f"plat.{name}.", stored)
-                )
-                rewards[name][:start_round] = stored[f"rewards.{name}"]
-                arranged_counts[name][:start_round] = stored[f"arranged.{name}"]
-                elapsed[name] = float(stored[f"elapsed.{name}"][0])
-                taus[name][:] = [float(tau) for tau in stored[f"k_taus.{name}"]]
+                state = ckpt.unpack_state(f"p.{name}.", stored)
+                ckpt.restore_policy_state(policy, state)
+                platforms[name].restore_state(ckpt.unpack_state(f"plat.{name}.", stored))
+                rewards[name][:start_round] = state["rewards"]
+                arranged_counts[name][:start_round] = state["arranged"]
+                elapsed[name] = state["elapsed"]
+                taus[name][:] = state["k_taus"]
             if instrumented:
                 # Merging into the fresh registry reproduces the saved
-                # snapshot exactly; resume markers are trace events only
-                # so metrics.json stays byte-comparable.
+                # snapshot exactly (counters add from zero, series
+                # concatenate onto nothing) — the resume marker is a
+                # trace event only, so metrics.json stays byte-
+                # comparable to an uninterrupted run's.
                 obs.merge_snapshot(
-                    MetricsSnapshot.from_dict(unpack_json(stored["obs"]))
+                    MetricsSnapshot.from_dict(ckpt.unpack_json(stored["obs"]))
                 )
-                obs.merge_trace(unpack_json(stored["trace"]))
-                obs.event(CHECKPOINT_RESUMED_EVENT, round=start_round)
+                obs.merge_trace(ckpt.unpack_json(stored["trace"]))
+                obs.event(ckpt.CHECKPOINT_RESUMED_EVENT, round=start_round)
             if recording:
-                flight.records[:] = unpack_json(stored["flight"])
+                flight.records[:] = ckpt.unpack_json(stored["flight"])
 
     def _save_checkpoint(round_index: int) -> None:
-        """Capture shared streams + every policy's state at a boundary."""
+        """Capture shared streams + every policy's state at a boundary.
+
+        The saves counter is incremented *before* the snapshot is
+        captured, so the count rides inside its own checkpoint and a
+        resumed run reports exactly what an uninterrupted one does.
+        """
         if instrumented:
-            obs.counter(CHECKPOINT_SAVES_METRIC).inc()
+            obs.counter(ckpt.CHECKPOINT_SAVES_METRIC).inc()
         arrays = {"t": np.array([round_index], dtype=np.int64)}
-        shared = {
-            f"arrivals_{key}": value
-            for key, value in arrivals.state_dict().items()
-        }
-        shared["context_rng"] = capture_rng_state(context_rng)
-        shared["feedback_rng"] = capture_rng_state(feedback_rng)
-        arrays.update(pack_state("stream.", shared))
+        arrays.update(ckpt.pack_state("stream.", rounds.state_dict()))
         for name, policy in policies.items():
-            for key, value in capture_policy_state(policy).items():
-                arrays[f"p.{name}.{key}"] = value
-            arrays.update(
-                pack_state(f"plat.{name}.", platforms[name].state_dict())
-            )
-            arrays[f"rewards.{name}"] = rewards[name][:round_index].copy()
-            arrays[f"arranged.{name}"] = arranged_counts[name][:round_index].copy()
-            arrays[f"elapsed.{name}"] = np.array([elapsed[name]], dtype=np.float64)
-            arrays[f"k_taus.{name}"] = np.asarray(taus[name], dtype=np.float64)
+            run_state = {
+                **ckpt.capture_policy_state(policy),
+                "rewards": rewards[name][:round_index].copy(),
+                "arranged": arranged_counts[name][:round_index].copy(),
+                "elapsed": elapsed[name],
+                "k_taus": taus[name],
+            }
+            arrays.update(ckpt.pack_state(f"p.{name}.", run_state))
+            arrays.update(ckpt.pack_state(f"plat.{name}.", platforms[name].state_dict()))
         if instrumented:
-            arrays["obs"] = pack_json(obs.snapshot().to_dict())
-            arrays["trace"] = pack_json(obs.trace_records())
+            arrays["obs"] = ckpt.pack_json(obs.snapshot().to_dict())
+            arrays["trace"] = ckpt.pack_json(obs.trace_records())
         if recording:
-            arrays["flight"] = pack_json(list(flight.records))
+            arrays["flight"] = ckpt.pack_json(list(flight.records))
         checkpointer.save(arrays)
         if instrumented:
-            obs.event(CHECKPOINT_SAVED_EVENT, round=round_index)
+            obs.event(ckpt.CHECKPOINT_SAVED_EVENT, round=round_index)
 
-    def _step(name: str, policy: Policy, t: int, user, contexts, accepts) -> None:
+    def _step(
+        name: str, policy: Policy, t: int, user, contexts, accepts, sampled: bool
+    ) -> None:
         """One policy's reveal-select-commit-observe against round ``t``."""
         platform = platforms[name]
         view = RoundView(
@@ -238,27 +365,39 @@ def run_policy_fleet(
             remaining_capacities=platform.store.remaining_capacities,
             conflicts=platform.conflicts,
         )
+        # The commit phase's feedback: arrangements hold <= c_u events,
+        # so scalar lookups beat fancy-indexing round trips.
         select_start = time.perf_counter()
-        arrangement = policy.select(view)
-        select_end = time.perf_counter()
-        # Arrangements hold <= c_u events: scalar lookups beat
-        # fancy-indexing round trips at that size.
-        accepted_flags = [bool(accepts[event_id]) for event_id in arrangement]
-        decisions = dict(zip(arrangement, accepted_flags))
-        entry = platform.commit(
-            user, arrangement, feedback=decisions.__getitem__
-        )
-        reward_values = [1.0 if flag else 0.0 for flag in accepted_flags]
-        observe_start = time.perf_counter()
-        policy.observe(view, arrangement, reward_values)
-        observe_end = time.perf_counter()
+        if sampled:
+            with obs.span("select"):
+                arrangement = policy.select(view)
+            select_end = time.perf_counter()
+            with obs.span("commit"):
+                accepted_flags = [bool(accepts[event_id]) for event_id in arrangement]
+                decisions = dict(zip(arrangement, accepted_flags))
+                entry = platform.commit(user, arrangement, feedback=decisions.__getitem__)
+            reward_values = [1.0 if flag else 0.0 for flag in accepted_flags]
+            observe_start = time.perf_counter()
+            with obs.span("observe"):
+                policy.observe(view, arrangement, reward_values)
+            observe_end = time.perf_counter()
+        else:
+            arrangement = policy.select(view)
+            select_end = time.perf_counter()
+            accepted_flags = [bool(accepts[event_id]) for event_id in arrangement]
+            decisions = dict(zip(arrangement, accepted_flags))
+            entry = platform.commit(user, arrangement, feedback=decisions.__getitem__)
+            reward_values = [1.0 if flag else 0.0 for flag in accepted_flags]
+            observe_start = time.perf_counter()
+            policy.observe(view, arrangement, reward_values)
+            observe_end = time.perf_counter()
         elapsed[name] += (select_end - select_start) + (observe_end - observe_start)
         if recording:
             flight.record(
                 decision_record(policy, view, arrangement, reward_values)
             )
         if instrumented:
-            record_policy_round(
+            _record_policy_round(
                 obs,
                 policy,
                 world.theta,
@@ -275,28 +414,26 @@ def run_policy_fleet(
                 kendall_tau(policy.ranking_scores(eval_contexts, t), true_scores)
             )
 
-    with obs.span(
-        "run_policy_fleet",
-        policies=list(policies),
-        horizon=horizon,
-        run_seed=run_seed,
-    ):
+    with obs.span(span_name, **span_attrs, horizon=horizon, run_seed=run_seed):
         for t in range(start_round + 1, horizon + 1):
-            user = arrivals.next_user()
-            contexts = sampler.sample(context_rng)
-            thresholds = feedback_rng.uniform(size=num_events)
+            user, contexts, thresholds = rounds.draw()
+            # Bound to a name, the |V| probabilities live until the next
+            # round's draw; freed mid-round, glibc trims and re-faults
+            # the heap every round (at |V| = 10^4: 4-65x the minor page
+            # faults and 20-45% more wall time per fleet run).
             probabilities = world.accept_probabilities(contexts)
             accepts = thresholds < probabilities
             if profiling and profile.samples(t):
-                # Sampled round: per-policy steps run inside spans so
-                # folded stacks attribute self time to each policy.
+                # Sampled round: same work, wrapped in profiler spans.
+                # The grid is round-indexed (t % sample_every == 0), so
+                # two runs of one seed sample identical stacks.
                 with obs.span("round", t=t):
                     for name, policy in policies.items():
                         with obs.span(f"step:{name}"):
-                            _step(name, policy, t, user, contexts, accepts)
+                            _step(name, policy, t, user, contexts, accepts, True)
             else:
                 for name, policy in policies.items():
-                    _step(name, policy, t, user, contexts, accepts)
+                    _step(name, policy, t, user, contexts, accepts, False)
             if engine is not None:
                 # After every policy's step: one alert evaluation per
                 # round keeps firings flush-cadence-independent.
@@ -311,20 +448,25 @@ def run_policy_fleet(
                 _save_checkpoint(t)
 
     if checkpointer is not None:
-        # The cell completed; the executor's unit cache takes over.
+        # The cell completed; the executor's unit cache takes over, so
+        # the round slot would only invite a stale mid-run resume.
         checkpointer.clear()
 
     if recording:
         for policy in policies.values():
             policy.enable_decision_capture(False)
-    histories: Dict[str, History] = {}
-    for name in policies:
-        histories[name] = History(
+    if instrumented:
+        for policy in policies.values():
+            obs.counter(policy.obs_name(ROUNDS_METRIC)).inc(horizon)
+    steps = np.asarray([t for t in range(1, horizon + 1) if t in checkpoint_set], dtype=int)
+    return {
+        name: History(
             policy_name=name,
             rewards=rewards[name],
             arranged=arranged_counts[name],
             avg_round_time=elapsed[name] / horizon if horizon else 0.0,
-            kendall_steps=np.asarray(checkpoints, dtype=int) if track_kendall else None,
-            kendall_taus=np.asarray(taus[name]) if track_kendall else None,
+            kendall_steps=steps if track_kendall else None,
+            kendall_taus=np.asarray(taus[name], dtype=float) if track_kendall else None,
         )
-    return histories
+        for name in policies
+    }

@@ -6,146 +6,30 @@ rounds, timing each round and optionally recording the Kendall rank
 correlation of the policy's event ranking against the truth at the
 paper's checkpoints (Figure 2).
 
-With a :class:`~repro.obs.profile.ProfileConfig` the runner opens a
-``round`` span (with nested ``select``/``commit``/``observe`` phase
-spans) on every ``sample_every``-th round — the deterministic sampling
-grid of the span profiler.  With a
-:class:`~repro.obs.stream.StreamingSink` it additionally offers the
-sink a flush opportunity after each round, so a killed run leaves
-telemetry on disk.  Neither feature touches an RNG stream; results are
+It is a fleet of one: the loop, its telemetry, profiler spans,
+streaming flushes, flight recording and round checkpoints are
+:func:`~repro.simulation.fleet.play_fleet`'s, shared with every
+multi-policy run, so a policy plays identically alone or in a fleet.
+None of the observers touches an RNG stream; results are
 bit-identical with them on or off.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.bandits.base import Policy
 from repro.datasets.synthetic import SyntheticWorld
-from repro.ebsn.events import EventStore
-from repro.ebsn.ledger import LedgerEntry
-from repro.exceptions import ConfigurationError
-from repro.metrics.kendall import kendall_tau
-from repro.obs.core import InstrumentationLike, MetricsSnapshot, current
-from repro.obs.flight import decision_record
-from repro.obs.health import (
-    CAPACITY_EXHAUSTED_METRIC,
-    FILL_RATE_SERIES_METRIC,
-    REWARD_METRIC,
-    THETA_DRIFT_METRIC,
-)
+from repro.obs.core import InstrumentationLike
 from repro.obs.profile import ProfileConfig
 from repro.obs.stream import StreamingSink
-from repro.simulation.environment import FaseaEnvironment
-from repro.simulation.history import History, default_checkpoints
+from repro.simulation.fleet import play_fleet
+from repro.simulation.history import History
 
 if TYPE_CHECKING:  # import cycle: repro.io.__init__ reaches back here
     from repro.io.checkpoint import CellCheckpointSpec
-
-#: Per-policy emit-site metric names (FAS016: names are constants so
-#: alert selectors cannot silently miss a typo'd emit site).
-SELECT_SECONDS_METRIC = "select_seconds"
-OBSERVE_SECONDS_METRIC = "observe_seconds"
-ROUNDS_METRIC = "rounds"
-
-
-def record_policy_round(
-    obs: InstrumentationLike,
-    policy: Policy,
-    theta_true: np.ndarray,
-    store: EventStore,
-    entry: LedgerEntry,
-    time_step: int,
-    select_seconds: float,
-    observe_seconds: float,
-) -> None:
-    """Fold one instrumented round into ``obs`` (runner + fleet share this).
-
-    Records per-policy select/observe timings, the per-round reward
-    series, the estimate drift ``||theta^ - theta||`` (policies without
-    a model skip it), and — the paper's Section 6.2 diagnostic — a
-    capacity-exhaustion event whenever an accepted registration drains
-    an event's last seat.  Never touches any RNG stream.
-    """
-    obs.timer(policy.obs_name(SELECT_SECONDS_METRIC)).observe(select_seconds)
-    obs.timer(policy.obs_name(OBSERVE_SECONDS_METRIC)).observe(observe_seconds)
-    reward = float(entry.reward)
-    obs.series(policy.obs_name(REWARD_METRIC)).append(time_step, reward)
-    drift: Optional[float] = None
-    estimate = policy.theta_estimate()
-    if estimate is not None:
-        drift = float(np.linalg.norm(estimate - theta_true))
-        obs.series(policy.obs_name(THETA_DRIFT_METRIC)).append(time_step, drift)
-    label = policy._obs_label or policy.name
-    monitor = getattr(obs, "health_monitor", None)
-    num_events = len(store)
-    for event_id in entry.accepted:
-        if store.remaining(event_id) <= 0.0:
-            obs.series(policy.obs_name(CAPACITY_EXHAUSTED_METRIC)).append(
-                time_step, float(event_id)
-            )
-            obs.event(
-                CAPACITY_EXHAUSTED_METRIC,
-                policy=label,
-                event_id=int(event_id),
-                time_step=time_step,
-            )
-            if monitor is not None:
-                monitor.observe_exhaustion(
-                    obs, label, time_step, int(event_id), num_events
-                )
-    if monitor is not None:
-        fill_rate: Optional[float] = None
-        fill_series = getattr(obs, "get_metric", None)
-        if fill_series is not None:
-            metric = obs.get_metric(policy.obs_name(FILL_RATE_SERIES_METRIC))
-            points = getattr(metric, "points", None)
-            if points and points[-1][0] == time_step:
-                fill_rate = float(points[-1][1])
-        monitor.observe_round(obs, label, time_step, reward, drift, fill_rate)
-
-
-def open_run_checkpointer(
-    spec: "CellCheckpointSpec",
-    obs: InstrumentationLike,
-    recording: bool,
-    flight: Optional[object],
-) -> object:
-    """Build a cell's :class:`~repro.io.checkpoint.RunCheckpointer`.
-
-    Shared by the round runner and the fleet runner.  Rejects the two
-    attachments whose internal state a round checkpoint cannot capture:
-
-    * an alert engine / health monitor (windowed detector state would
-      silently reset on resume, changing firings);
-    * a disk-backed flight recorder (the resumed process would append
-      to a log that already holds the pre-crash records; checkpointing
-      requires an in-memory buffer whose contents travel inside the
-      checkpoint and are replayed exactly — which is what the executor's
-      isolated-cell mode provides).
-    """
-    from repro.io.checkpoint import RunCheckpointer
-
-    if getattr(obs, "alert_engine", None) is not None:
-        raise ConfigurationError(
-            "round checkpointing cannot capture alert-engine window state; "
-            "run without --alerts/--health or without --checkpoint"
-        )
-    if getattr(obs, "health_monitor", None) is not None:
-        raise ConfigurationError(
-            "round checkpointing cannot capture health-monitor detector "
-            "state; run without --health or without --checkpoint"
-        )
-    if recording and not hasattr(flight, "records"):
-        raise ConfigurationError(
-            "round checkpointing requires an in-memory flight buffer "
-            f"(got {type(flight).__name__}); route the run through "
-            "run_work_units, which records each cell into a FlightBuffer"
-        )
-    return RunCheckpointer(spec)
 
 
 def run_policy(
@@ -181,6 +65,7 @@ def run_policy(
         checkpoint (on a fixed evaluation context set).
     kendall_checkpoints:
         Steps at which to record tau; default is the paper's grid.
+        Only steps the run reaches are recorded, in round order.
     eval_contexts:
         Context matrix for the ranking diagnostic; default is the
         world's deterministic evaluation set.
@@ -192,9 +77,9 @@ def run_policy(
         streams, so results are bit-identical either way.
     profile:
         Round-sampling profiler configuration.  On sampled rounds the
-        runner opens a ``round`` span with nested ``select`` /
-        ``commit`` / ``observe`` phase spans; requires an enabled
-        ``obs`` to have any effect.
+        runner opens a ``round`` span holding a ``step:<policy>`` span
+        with nested ``select`` / ``commit`` / ``observe`` phase spans;
+        requires an enabled ``obs`` to have any effect.
     stream:
         Streaming telemetry sink; offered one ``maybe_flush`` per
         round (only when instrumented) so long runs publish durable
@@ -211,210 +96,15 @@ def run_policy(
         A :class:`~repro.io.checkpoint.CellCheckpointSpec`.  Every
         ``every``-th round boundary the runner atomically saves the
         exact dynamic state (policy learned state + RNG positions,
-        environment streams/ledger/capacities, accumulated rewards,
-        Kendall checkpoints, telemetry snapshot, flight buffer); with
+        input-stream positions, platform ledger/capacities, accumulated
+        rewards, Kendall taus, telemetry snapshot, flight buffer); with
         ``resume=True`` an existing checkpoint is loaded and the run
         continues from its round — bit-identical to an uninterrupted
         run (``tests/test_checkpoint_resume`` proves it).  Saving
         never touches an RNG stream.
     """
-    horizon = horizon if horizon is not None else world.config.horizon
-    obs = obs if obs is not None else current()
-    instrumented = obs.enabled
-    if profile is None:
-        profile = getattr(obs, "profile_config", None)
-    if stream is None:
-        stream = getattr(obs, "stream_sink", None)
-    if flight is None:
-        flight = getattr(obs, "flight_recorder", None)
-    recording = flight is not None
-    profiling = instrumented and profile is not None
-    engine = getattr(obs, "alert_engine", None) if instrumented else None
-    if instrumented:
-        policy.bind_obs(obs)
-    if recording:
-        policy.enable_decision_capture(True)
-    env = FaseaEnvironment(world, run_seed=run_seed, obs=obs)
-    rewards = np.zeros(horizon)
-    arranged_counts = np.zeros(horizon)
-
-    kendall_steps: Optional[np.ndarray] = None
-    kendall_taus: Optional[np.ndarray] = None
-    checkpoint_set = frozenset()
-    true_ranking_scores: Optional[np.ndarray] = None
-    taus = []
-    steps = []
-    if track_kendall:
-        checkpoints = (
-            list(kendall_checkpoints)
-            if kendall_checkpoints is not None
-            else default_checkpoints(horizon)
-        )
-        checkpoint_set = frozenset(checkpoints)
-        if eval_contexts is None:
-            eval_contexts = world.evaluation_contexts()
-        true_ranking_scores = world.expected_rewards(eval_contexts)
-
-    elapsed = 0.0
-    start_round = 0
-    checkpointer = None
-    if checkpoint is not None:
-        from repro.io.checkpoint import (
-            CHECKPOINT_RESUMED_EVENT,
-            CHECKPOINT_SAVED_EVENT,
-            CHECKPOINT_SAVES_METRIC,
-            capture_policy_state,
-            pack_json,
-            pack_state,
-            restore_policy_state,
-            unpack_json,
-            unpack_state,
-        )
-
-        checkpointer = open_run_checkpointer(checkpoint, obs, recording, flight)
-        stored = checkpointer.load()
-        if stored is not None:
-            start_round = int(stored["t"][0])
-            if start_round > horizon:
-                raise ConfigurationError(
-                    f"checkpoint is at round {start_round} but the run's "
-                    f"horizon is only {horizon}"
-                )
-            restore_policy_state(
-                policy,
-                {
-                    key[len("policy.") :]: value
-                    for key, value in stored.items()
-                    if key.startswith("policy.")
-                },
-            )
-            env.restore_state(unpack_state("env.", stored))
-            rewards[:start_round] = stored["rewards"]
-            arranged_counts[:start_round] = stored["arranged"]
-            elapsed = float(stored["elapsed"][0])
-            steps = [int(step) for step in stored["k_steps"]]
-            taus = [float(tau) for tau in stored["k_taus"]]
-            if instrumented:
-                # Merging into the fresh registry reproduces the saved
-                # snapshot exactly (counters add from zero, series
-                # concatenate onto nothing) — the resume marker is a
-                # trace event only, so metrics.json stays byte-
-                # comparable to an uninterrupted run's.
-                obs.merge_snapshot(
-                    MetricsSnapshot.from_dict(unpack_json(stored["obs"]))
-                )
-                obs.merge_trace(unpack_json(stored["trace"]))
-                obs.event(CHECKPOINT_RESUMED_EVENT, round=start_round)
-            if recording:
-                flight.records[:] = unpack_json(stored["flight"])
-
-    def _save_checkpoint(round_index: int) -> None:
-        """Capture the exact state at the ``round_index`` boundary.
-
-        The saves counter is incremented *before* the snapshot is
-        captured, so the count rides inside its own checkpoint and a
-        resumed run reports exactly what an uninterrupted one does.
-        """
-        if instrumented:
-            obs.counter(CHECKPOINT_SAVES_METRIC).inc()
-        arrays = {
-            "t": np.array([round_index], dtype=np.int64),
-            "rewards": rewards[:round_index].copy(),
-            "arranged": arranged_counts[:round_index].copy(),
-            "elapsed": np.array([elapsed], dtype=np.float64),
-            "k_steps": np.asarray(steps, dtype=np.int64),
-            "k_taus": np.asarray(taus, dtype=np.float64),
-        }
-        for key, value in capture_policy_state(policy).items():
-            arrays[f"policy.{key}"] = value
-        arrays.update(pack_state("env.", env.state_dict()))
-        if instrumented:
-            arrays["obs"] = pack_json(obs.snapshot().to_dict())
-            arrays["trace"] = pack_json(obs.trace_records())
-        if recording:
-            arrays["flight"] = pack_json(list(flight.records))
-        checkpointer.save(arrays)
-        if instrumented:
-            obs.event(CHECKPOINT_SAVED_EVENT, round=round_index)
-
-    with obs.span("run_policy", policy=policy.name, horizon=horizon, run_seed=run_seed):
-        for t in range(start_round + 1, horizon + 1):
-            if profiling and profile.samples(t):
-                # Sampled round: same work, wrapped in profiler spans.
-                # The grid is round-indexed (t % sample_every == 0), so
-                # two runs of one seed sample identical stacks.
-                with obs.span("round", t=t):
-                    view = env.begin_round()
-                    start = time.perf_counter()
-                    with obs.span("select"):
-                        arrangement = policy.select(view)
-                    mid = time.perf_counter()
-                    with obs.span("commit"):
-                        round_rewards, entry = env.commit(arrangement)
-                    resumed = time.perf_counter()
-                    with obs.span("observe"):
-                        policy.observe(view, arrangement, round_rewards)
-                    done = time.perf_counter()
-            else:
-                view = env.begin_round()
-                start = time.perf_counter()
-                arrangement = policy.select(view)
-                mid = time.perf_counter()
-                round_rewards, entry = env.commit(arrangement)
-                resumed = time.perf_counter()
-                policy.observe(view, arrangement, round_rewards)
-                done = time.perf_counter()
-            elapsed += (mid - start) + (done - resumed)
-            rewards[t - 1] = sum(round_rewards)
-            arranged_counts[t - 1] = len(arrangement)
-            if recording:
-                flight.record(
-                    decision_record(policy, view, arrangement, round_rewards)
-                )
-            if instrumented:
-                record_policy_round(
-                    obs,
-                    policy,
-                    world.theta,
-                    env.platform.store,
-                    entry,
-                    t,
-                    mid - start,
-                    done - resumed,
-                )
-                if engine is not None:
-                    engine.evaluate_round(obs, t)
-                if stream is not None:
-                    stream.maybe_flush(1)
-            if t in checkpoint_set and true_ranking_scores is not None:
-                estimated = policy.ranking_scores(eval_contexts, t)
-                steps.append(t)
-                taus.append(kendall_tau(estimated, true_ranking_scores))
-            # Save strictly after the Kendall diagnostic: for policies
-            # whose ranking scores draw from the policy RNG (TS), the
-            # captured bit-generator position must be the post-round
-            # one the next round actually starts from.
-            if checkpointer is not None and t < horizon and checkpointer.due(t):
-                _save_checkpoint(t)
-
-    if checkpointer is not None:
-        # The cell completed; the executor's unit cache takes over, so
-        # the round slot would only invite a stale mid-run resume.
-        checkpointer.clear()
-
-    if track_kendall:
-        kendall_steps = np.asarray(steps, dtype=int)
-        kendall_taus = np.asarray(taus, dtype=float)
-
-    if recording:
-        policy.enable_decision_capture(False)
-    if instrumented:
-        obs.counter(policy.obs_name(ROUNDS_METRIC)).inc(horizon)
-    return History(
-        policy_name=policy.name,
-        rewards=rewards,
-        arranged=arranged_counts,
-        avg_round_time=elapsed / horizon if horizon else 0.0,
-        kendall_steps=kendall_steps,
-        kendall_taus=kendall_taus,
-    )
+    return play_fleet(
+        {policy.name: policy}, world, horizon, run_seed, track_kendall, kendall_checkpoints,
+        eval_contexts, obs, profile, stream, flight, checkpoint,
+        span_name="run_policy", span_attrs={"policy": policy.name},
+    )[policy.name]

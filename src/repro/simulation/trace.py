@@ -24,7 +24,7 @@ from repro.ebsn.events import EventStore
 from repro.ebsn.platform import Platform
 from repro.ebsn.users import User
 from repro.exceptions import ConfigurationError
-from repro.simulation.environment import FaseaEnvironment
+from repro.simulation.environment import RoundStream
 from repro.simulation.history import History
 
 #: Bumped when the on-disk layout changes incompatibly.
@@ -124,18 +124,13 @@ def record_trace(
 ) -> Trace:
     """Capture the input stream a run with this (world, seed) would see."""
     horizon = horizon if horizon is not None else world.config.horizon
-    env = FaseaEnvironment(world, run_seed=run_seed)
+    rounds = RoundStream(world, run_seed)
     capacities = np.zeros(horizon, dtype=int)
-    contexts = np.zeros((horizon, env.num_events, world.config.dim))
-    thresholds = np.zeros((horizon, env.num_events))
+    contexts = np.zeros((horizon, rounds.num_events, world.config.dim))
+    thresholds = np.zeros((horizon, rounds.num_events))
     for t in range(horizon):
-        view = env.begin_round()
-        capacities[t] = view.user.capacity
-        contexts[t] = view.contexts
-        # The pending thresholds are private to the environment; commit
-        # an empty arrangement and recover them via the coupled draw.
-        thresholds[t] = env._pending[1]  # noqa: SLF001 - recorder is a friend
-        env.commit([])
+        user, contexts[t], thresholds[t] = rounds.draw()
+        capacities[t] = user.capacity
     return Trace(
         user_capacities=capacities,
         contexts=contexts,

@@ -221,7 +221,7 @@ def test_runner_profile_has_the_documented_phase_stacks(small_world):
     profile = Profile.from_trace_records(obs.trace_records())
     stacks = set(profile.stacks)
     for phase in ("select", "commit", "observe"):
-        assert ("run_policy", "round", phase) in stacks
+        assert ("run_policy", "round", "step:UCB", phase) in stacks
 
 
 def test_fleet_profile_attributes_phases_per_policy(small_world):

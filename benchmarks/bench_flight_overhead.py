@@ -3,12 +3,12 @@
 The flight recorder promises that a run *without* ``--flight`` pays
 only the capture guards: one class-attribute read per ``select``
 (``Policy._capture_decisions``) and one ambient-attribute read per
-round in the runner (``flight is None``).  This module measures that
+round in the round loop (``flight is None``).  This module measures that
 promise with the same paired best-of-N harness as
 ``bench_obs_overhead``: the baseline times the frozen-view select loop
 with capture off (the shipping default), the candidate times the
-identical loop wrapped in the exact guard shape of ``runner.py``'s
-disabled branch, and the *minimum paired ratio* must stay within the
+identical loop wrapped in the exact guard shape of
+``fleet.play_fleet``'s disabled branch, and the *minimum paired ratio* must stay within the
 threshold.
 
 A recording-mode cross-check also runs: one seeded run with a
@@ -81,7 +81,7 @@ def measure_capture_guard_overhead(repeats: int = 9) -> dict:
             policy.select(view)
 
     def run_guarded() -> None:
-        # The exact guard shape of runner.py's round loop, flight off.
+        # The exact guard shape of fleet.play_fleet's round loop, flight off.
         for view in views:
             arrangement = policy.select(view)
             if recording:  # pragma: no cover - off in this gate

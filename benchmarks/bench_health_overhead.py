@@ -3,11 +3,11 @@
 The health monitor promises that a run *without* ``--health`` pays only
 its guards: one ``getattr(obs, "alert_engine")`` per run plus, per
 instrumented round, one ``getattr(obs, "health_monitor")`` and two
-``is not None`` checks (runner and fleet share the shape).  This module
+``is not None`` checks (every runner plays through ``fleet.play_fleet``).  This module
 measures that promise with the same paired best-of-N harness as
 ``bench_obs_overhead``: the baseline times the frozen-view select loop,
 the candidate times the identical loop wrapped in the exact guard shape
-of ``runner.py``'s health-off branch, and the *minimum paired ratio*
+of ``fleet.play_fleet``'s health-off branch, and the *minimum paired ratio*
 must stay within the threshold.
 
 A monitoring-mode cross-check also runs: one seeded run with a
@@ -82,8 +82,8 @@ def measure_health_guard_overhead(repeats: int = 9) -> dict:
             policy.select(view)
 
     def run_guarded() -> None:
-        # The exact guard shape of record_policy_round + the runner's
-        # round loop with --health off.
+        # The exact guard shape of fleet._record_policy_round + the
+        # fleet.play_fleet round loop with --health off.
         for view in views:
             policy.select(view)
             monitor = getattr(obs, "health_monitor", None)

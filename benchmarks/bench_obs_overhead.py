@@ -171,10 +171,10 @@ def check_end_to_end_equivalence(horizon: int = HORIZON) -> dict:
 def measure_observatory_overhead(repeats: int = 7) -> dict:
     """Disabled-mode cost of the run-observatory guards (PR 4).
 
-    ``run_policy`` now consults an ambient profiler config and streaming
+    The round loop consults an ambient profiler config and streaming
     sink each round.  With both disabled the per-round price is two
     cached boolean reads; this measures exactly that guard — replicated
-    bit for bit from ``runner.py``'s disabled branch — around the same
+    bit for bit from ``fleet.play_fleet``'s disabled branch — around the same
     frozen-view select loop the main gate uses.  The paired best-of-N
     ratio must stay within the threshold (the same ±3% CI gate).
     """
@@ -192,7 +192,7 @@ def measure_observatory_overhead(repeats: int = 7) -> dict:
             policy.select(view)
 
     def run_guarded() -> None:
-        # The exact guard shape of runner.py's round loop, disabled mode.
+        # The exact guard shape of fleet.play_fleet's round loop, disabled mode.
         for t, view in enumerate(views, 1):
             if profiling and profile.samples(t):  # pragma: no cover - off
                 policy.select(view)

@@ -11,12 +11,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bandits import RandomPolicy, RoundView, UcbPolicy
-from repro.datasets.synthetic import SyntheticConfig, build_world
+from repro.bandits import RandomPolicy, UcbPolicy
+from repro.datasets.synthetic import SyntheticConfig, SyntheticWorld, build_world
 from repro.ebsn.platform import Platform
 from repro.ebsn.users import User
 from repro.experiments.reporting import ExperimentResult, TableBlock
@@ -34,6 +34,7 @@ from repro.mab import (
     run_mab,
 )
 from repro.mab.arms import random_arms
+from repro.simulation.fleet import play_fleet
 
 
 def mab_experiment(
@@ -80,38 +81,29 @@ def mab_experiment(
     )
 
 
-def _roster_accept_ratio(policy, world, thetas, horizon: int) -> float:
-    """Play a 3-user roster with opposed tastes against one policy."""
-    platform = Platform(world.make_store(), world.conflicts)
-    sampler = world.make_context_sampler()
-    rng = make_rng(1234)
-    accepted = arranged = 0
-    for t in range(1, horizon + 1):
-        user = User(user_id=(t - 1) % len(thetas), capacity=3)
-        contexts = sampler.sample(rng)
-        view = RoundView(
-            time_step=t,
-            user=user,
-            contexts=contexts,
-            remaining_capacities=platform.store.remaining_capacities,
-            conflicts=platform.conflicts,
-        )
-        arrangement = policy.select(view)
-        probabilities = np.clip(contexts @ thetas[user.user_id], 0.0, 1.0)
-        thresholds = rng.uniform(size=contexts.shape[0])
-        entry = platform.commit(
-            user,
-            arrangement,
-            feedback=lambda e: bool(thresholds[e] < probabilities[e]),
-        )
-        policy.observe(
-            view,
-            arrangement,
-            [1.0 if e in set(entry.accepted) else 0.0 for e in arrangement],
-        )
-        accepted += entry.reward
-        arranged += len(arrangement)
-    return accepted / arranged if arranged else 0.0
+class _OpposedRoster:
+    """Remark 1's round source: user ``(t - 1) % 3`` accepts by their own theta.
+
+    Contexts, then thresholds, come from one ``make_rng(seed)`` stream
+    no policy reads, so each policy sees the rounds it would see alone.
+    """
+
+    theta: Optional[np.ndarray] = None  # one theta per user, none overall
+
+    def __init__(self, world: SyntheticWorld, thetas: Sequence[np.ndarray], seed: int) -> None:
+        self.world = world
+        self.thetas = thetas
+        self.sampler = world.make_context_sampler()
+        self.rng = make_rng(seed)
+
+    def make_platform(self) -> Platform:
+        return Platform(self.world.make_store(), self.world.conflicts)
+
+    def reveal(self, t: int) -> Tuple[User, np.ndarray, np.ndarray]:
+        user = User(user_id=(t - 1) % len(self.thetas), capacity=3)
+        contexts = self.sampler.sample(self.rng)
+        probabilities = np.clip(contexts @ self.thetas[user.user_id], 0.0, 1.0)
+        return user, contexts, self.rng.uniform(size=contexts.shape[0]) < probabilities
 
 
 def extensions_experiment(
@@ -125,14 +117,13 @@ def extensions_experiment(
     world = build_world(config)
     thetas = [world.theta, -world.theta, np.roll(world.theta, 3)]
 
-    shared_ratio = _roster_accept_ratio(
-        UcbPolicy(dim=config.dim), world, thetas, horizon
-    )
-    pooled_ratio = _roster_accept_ratio(
-        PerUserPolicyPool(lambda user_id: UcbPolicy(dim=config.dim)),
-        world,
-        thetas,
-        horizon,
+    models = {
+        "UCB": UcbPolicy(dim=config.dim),
+        "PerUser": PerUserPolicyPool(lambda user_id: UcbPolicy(dim=config.dim)),
+    }
+    roster = play_fleet(
+        models, _OpposedRoster(world, thetas, seed=1234), horizon, span_name="roster",
+        span_attrs={"policies": list(models), "horizon": horizon},
     )
 
     schedule = DynamicEventSchedule.round_robin(
@@ -159,8 +150,8 @@ def extensions_experiment(
                 "Remark 1: 3 opposed users",
                 ["model", "accept_ratio"],
                 [
-                    ["shared UCB", shared_ratio],
-                    ["per-user UCB pool", pooled_ratio],
+                    ["shared UCB", roster["UCB"].overall_accept_ratio],
+                    ["per-user UCB pool", roster["PerUser"].overall_accept_ratio],
                 ],
             ),
             TableBlock(

@@ -10,20 +10,23 @@ The schedule partitions the horizon into phases, each exposing a subset
 of the catalogue.  Inactive events are presented to policies with zero
 remaining capacity, so Oracle-Greedy skips them without any policy
 changes; the shared model still learns from whatever *is* arranged.
+:func:`run_dynamic_policy` is ``run_policy`` over a :class:`ScheduledPolicy`
+wrapper that applies the mask; the round loop has no branch for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bandits.base import Policy, RoundView
 from repro.datasets.synthetic import SyntheticWorld
 from repro.exceptions import ConfigurationError
-from repro.simulation.environment import FaseaEnvironment
+from repro.obs.core import InstrumentationLike
 from repro.simulation.history import History
+from repro.simulation.runner import run_policy
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,50 @@ class DynamicEventSchedule:
         return cls(masks=tuple(masks), phase_length=phase_length)
 
 
+class ScheduledPolicy(Policy):
+    """``policy`` shown only the schedule's active events.
+
+    A policy itself, like :class:`~repro.extensions.per_user.
+    PerUserPolicyPool`: :meth:`select` and :meth:`observe` hand the
+    inner policy one masked view, inactive events at zero capacity.
+    """
+
+    _view: RoundView  # this round's masked view, set by select
+
+    def __init__(self, policy: Policy, schedule: DynamicEventSchedule) -> None:
+        self.policy = policy
+        self.schedule = schedule
+        self.name = f"{policy.name}+dynamic"
+
+    def select(self, view: RoundView) -> List[int]:
+        mask = self.schedule.active_mask(view.time_step)
+        remaining = np.where(mask, view.remaining_capacities, 0.0)
+        self._view = replace(view, remaining_capacities=remaining)
+        arrangement = self.policy.select(self._view)
+        if any(not mask[event_id] for event_id in arrangement):
+            raise ConfigurationError(
+                f"policy arranged an inactive event at t={view.time_step}: {arrangement}"
+            )
+        return arrangement
+
+    def observe(self, view: RoundView, arranged: Sequence[int], rewards: Sequence[float]) -> None:
+        self.policy.observe(self._view, arranged, rewards)
+
+    # The inner policy records telemetry and decisions under this label.
+    def bind_obs(self, obs: InstrumentationLike, label: Optional[str] = None) -> None:
+        super().bind_obs(obs, label)
+        self.policy.bind_obs(obs, self._obs_label)
+
+    def enable_decision_capture(self, enabled: bool = True) -> None:
+        self.policy.enable_decision_capture(enabled)
+
+    def decision_info(self) -> Optional[Dict[str, Any]]:
+        return self.policy.decision_info()
+
+    def theta_estimate(self) -> Optional[np.ndarray]:
+        return self.policy.theta_estimate()
+
+
 def run_dynamic_policy(
     policy: Policy,
     world: SyntheticWorld,
@@ -91,31 +138,4 @@ def run_dynamic_policy(
             f"schedule covers {schedule.num_events} events but world has "
             f"{world.config.num_events}"
         )
-    horizon = horizon if horizon is not None else world.config.horizon
-    env = FaseaEnvironment(world, run_seed=run_seed)
-    rewards = np.zeros(horizon)
-    arranged_counts = np.zeros(horizon)
-    for t in range(1, horizon + 1):
-        view = env.begin_round()
-        mask = schedule.active_mask(t)
-        masked_view = RoundView(
-            time_step=view.time_step,
-            user=view.user,
-            contexts=view.contexts,
-            remaining_capacities=np.where(mask, view.remaining_capacities, 0.0),
-            conflicts=view.conflicts,
-        )
-        arrangement = policy.select(masked_view)
-        if any(not mask[event_id] for event_id in arrangement):
-            raise ConfigurationError(
-                f"policy arranged an inactive event at t={t}: {arrangement}"
-            )
-        round_rewards, _ = env.commit(arrangement)
-        policy.observe(masked_view, arrangement, round_rewards)
-        rewards[t - 1] = sum(round_rewards)
-        arranged_counts[t - 1] = len(arrangement)
-    return History(
-        policy_name=f"{policy.name}+dynamic",
-        rewards=rewards,
-        arranged=arranged_counts,
-    )
+    return run_policy(ScheduledPolicy(policy, schedule), world, horizon, run_seed)

@@ -12,7 +12,7 @@
 * :func:`~repro.simulation.runner.run_policy` — a fleet of one: plays
   one policy for ``T`` rounds and returns a
   :class:`~repro.simulation.history.History`.
-* :mod:`~repro.simulation.realdata` — the Damai replay loop (same user
+* :mod:`~repro.simulation.realdata` — the Damai replay source (same user
   and contexts every round, deterministic feedback).
 """
 

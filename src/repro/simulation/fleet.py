@@ -2,12 +2,17 @@
 
 The paper's Algorithms 1, 3 and 4 share one reveal → select → commit →
 observe loop (lines 3-14).  It lives here once, in :func:`play_fleet`:
-each round draws the user, context matrix and acceptance thresholds
-**once** from the run's :class:`~repro.simulation.environment.
-RoundStream` and steps every policy against them in lockstep, each with
-its own platform (capacities evolve per policy, as they must).
-Context generation (|V| x d Gaussians per round) would otherwise
-dominate the wall clock of every multi-policy experiment.
+each round is read **once** from a :class:`RoundSource` — the user,
+the context matrix and a per-event accept mask — and every policy
+steps against it in lockstep, each with its own platform (capacities
+evolve per policy, as they must).  Context generation (|V| x d
+Gaussians per round) would otherwise dominate the wall clock of every
+multi-policy experiment.
+
+The paper's four settings are four sources: the generated
+:class:`~repro.simulation.environment.RoundStream`, a recorded trace,
+the Damai replay and the Remark 1 roster.  Remark 2's rotating event
+sets are a policy wrapper, so the loop has no branch for them.
 
 :func:`~repro.simulation.runner.run_policy` is a fleet of one;
 :func:`run_policy_fleet` runs the replication, grid-sweep,
@@ -27,7 +32,9 @@ results are bit-identical with them on or off.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Protocol, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -36,6 +43,7 @@ from repro.datasets.synthetic import SyntheticWorld
 from repro.ebsn.events import EventStore
 from repro.ebsn.ledger import LedgerEntry
 from repro.ebsn.platform import Platform
+from repro.ebsn.users import User
 from repro.exceptions import ConfigurationError
 from repro.metrics.kendall import kendall_tau
 from repro.obs.core import InstrumentationLike, MetricsSnapshot, current
@@ -70,7 +78,7 @@ ROUNDS_METRIC = "rounds"
 def _record_policy_round(
     obs: InstrumentationLike,
     policy: Policy,
-    theta_true: np.ndarray,
+    theta_true: Optional[np.ndarray],
     store: EventStore,
     entry: LedgerEntry,
     time_step: int,
@@ -82,7 +90,7 @@ def _record_policy_round(
     Counts the step in the ``env.*`` counters (one round, one commit,
     its arranged and accepted events), records per-policy
     select/observe timings, the per-round reward series, the estimate
-    drift ``||theta^ - theta||`` (policies without a model skip it),
+    drift ``||theta^ - theta||`` (skipped without a model or a true theta),
     and — the paper's Section 6.2 diagnostic — a capacity-exhaustion
     event whenever an accepted registration drains an event's last
     seat.  Never touches any RNG stream.
@@ -96,7 +104,7 @@ def _record_policy_round(
     reward = float(entry.reward)
     obs.series(policy.obs_name(REWARD_METRIC)).append(time_step, reward)
     drift: Optional[float] = None
-    estimate = policy.theta_estimate()
+    estimate = policy.theta_estimate() if theta_true is not None else None
     if estimate is not None:
         drift = float(np.linalg.norm(estimate - theta_true))
         obs.series(policy.obs_name(THETA_DRIFT_METRIC)).append(time_step, drift)
@@ -169,6 +177,38 @@ def open_run_checkpointer(
     return RunCheckpointer(spec)
 
 
+class RoundSource(Protocol):
+    """What :func:`play_fleet` reads rounds from."""
+
+    @property
+    def theta(self) -> Optional[np.ndarray]:
+        """The true preference vector of the drift telemetry (``None``: no drift)."""
+
+    def make_platform(self) -> Platform:
+        """A fresh platform for one policy."""
+
+    def reveal(self, t: int) -> Tuple[User, np.ndarray, np.ndarray]:
+        """Round ``t``'s user, ``|V| x d`` contexts and per-event accept mask."""
+
+
+#: Figure 2's diagnostic: rounds to score, evaluation contexts, true scores.
+KendallProbe = Tuple[FrozenSet[int], np.ndarray, np.ndarray]
+_NO_KENDALL: KendallProbe = (frozenset(), np.zeros((0, 0)), np.zeros(0))
+
+
+def kendall_probe(
+    world: SyntheticWorld, horizon: int, track: bool,
+    checkpoints: Optional[Sequence[int]], eval_contexts: Optional[np.ndarray],
+) -> Optional[KendallProbe]:
+    """The probe the runners' Kendall arguments ask for; ``None`` if untracked."""
+    if not track:
+        return None
+    if eval_contexts is None:
+        eval_contexts = world.evaluation_contexts()
+    grid = default_checkpoints(horizon) if checkpoints is None else checkpoints
+    return frozenset(grid), eval_contexts, world.expected_rewards(eval_contexts)
+
+
 def run_policy_fleet(
     policies: Dict[str, Policy],
     world: SyntheticWorld,
@@ -194,61 +234,52 @@ def run_policy_fleet(
     :func:`~repro.simulation.runner.run_policy`, applied to each policy;
     see :func:`play_fleet` for how the loop treats them.
     """
+    horizon = horizon if horizon is not None else world.config.horizon
     return play_fleet(
-        policies, world, horizon, run_seed, track_kendall, kendall_checkpoints, eval_contexts,
-        obs, profile, stream, flight, checkpoint,
-        span_name="run_policy_fleet", span_attrs={"policies": list(policies)},
+        policies, RoundStream(world, run_seed), horizon,
+        kendall=kendall_probe(world, horizon, track_kendall, kendall_checkpoints, eval_contexts),
+        obs=obs, profile=profile, stream=stream, flight=flight, checkpoint=checkpoint,
+        span_name="run_policy_fleet",
+        span_attrs={"policies": list(policies), "horizon": horizon, "run_seed": run_seed},
     )
 
 
 def play_fleet(
     policies: Dict[str, Policy],
-    world: SyntheticWorld,
-    horizon: Optional[int],
-    run_seed: int,
-    track_kendall: bool,
-    kendall_checkpoints: Optional[Sequence[int]],
-    eval_contexts: Optional[np.ndarray],
-    obs: Optional[InstrumentationLike],
-    profile: Optional[ProfileConfig],
-    stream: Optional[StreamingSink],
-    flight: Optional[object],
-    checkpoint: Optional["CellCheckpointSpec"],
+    source: RoundSource,
+    horizon: int,
+    *,
     span_name: str,
     span_attrs: Mapping[str, object],
+    kendall: Optional[KendallProbe] = None,
+    obs: Optional[InstrumentationLike] = None,
+    profile: Optional[ProfileConfig] = None,
+    stream: Optional[StreamingSink] = None,
+    flight: Optional[object] = None,
+    checkpoint: Optional["CellCheckpointSpec"] = None,
 ) -> Dict[str, History]:
-    """The round loop behind :func:`run_policy_fleet` and ``run_policy``.
+    """The round loop: play every policy for ``horizon`` rounds of ``source``.
 
-    The whole run sits in one span named by the caller, carrying
-    ``span_attrs`` then ``horizon`` and ``run_seed``.
+    Each policy steps on its own ``source.make_platform()`` against the
+    round ``source.reveal(t)``, read once.  The run sits in one span,
+    ``span_name`` with ``span_attrs``.  ``kendall`` records each
+    policy's tau at the probe's rounds the run reaches, in round order.
+    The observers mean what they mean for
+    :func:`~repro.simulation.runner.run_policy`, with each policy
+    labelled by its dict key: its metrics, its ``step:<key>`` profiler
+    span (holding ``select``/``commit``/``observe`` phase spans) and its
+    flight records.  Round checkpoints save the shared stream positions
+    once and each policy's state under a per-policy prefix; they need a
+    :class:`~repro.simulation.environment.RoundStream` source.
 
-    ``profile`` (default: the ambient ``obs.profile_config``) enables
-    the deterministic round-sampling profiler: on sampled rounds every
-    policy's step runs inside a ``step:<key>`` span, nested under the
-    round's ``round`` span, with its ``select``/``commit``/``observe``
-    phases nested inside it — so folded stacks attribute self time per
-    policy and per phase.  ``stream`` (default: ``obs.stream_sink``) is
-    offered one flush opportunity per round.  ``flight`` (default:
-    ``obs.flight_recorder``) receives one ``decision`` record per
-    policy step, labelled by the dict key.
-
-    ``checkpoint`` enables round-granular crash recovery: every
-    ``every``-th round boundary the loop atomically saves the shared
-    stream positions once, plus every policy's learned/RNG state,
-    platform, rewards and Kendall taus under per-policy prefixes, and
-    the telemetry snapshot and flight buffer.  With ``resume=True`` the
-    run continues from the saved round, bit-identical to an
-    uninterrupted one (``tests/test_checkpoint_resume`` proves it).
-
-    Kendall tau is recorded at each checkpoint the run actually
-    reaches, in round order; duplicates count once.  Each history's
-    ``avg_round_time`` is that policy's own select + observe seconds
-    per round; the shared draws and the platform commit are not part
-    of it.
+    Each history's ``avg_round_time`` is that policy's own select +
+    observe seconds per round; the shared reveal and the platform
+    commit are not part of it.
     """
     if not policies:
         raise ConfigurationError("need at least one policy")
-    horizon = horizon if horizon is not None else world.config.horizon
+    if horizon < 1:
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     obs = obs if obs is not None else current()
     instrumented = obs.enabled
     if profile is None:
@@ -268,29 +299,23 @@ def play_fleet(
             if recording:
                 policy.enable_decision_capture(True)
 
-    rounds = RoundStream(world, run_seed)
-    platforms = {name: Platform(world.make_store(), world.conflicts) for name in policies}
+    platforms = {name: source.make_platform() for name in policies}
     rewards = {name: np.zeros(horizon) for name in policies}
     arranged_counts = {name: np.zeros(horizon) for name in policies}
     # Select + observe seconds per policy.
     elapsed = {name: 0.0 for name in policies}
 
-    checkpoint_set = frozenset()
     taus: Dict[str, List[float]] = {name: [] for name in policies}
-    true_scores: Optional[np.ndarray] = None
-    if track_kendall:
-        checkpoint_set = frozenset(
-            default_checkpoints(horizon) if kendall_checkpoints is None else kendall_checkpoints
-        )
-        if eval_contexts is None:
-            eval_contexts = world.evaluation_contexts()
-        true_scores = world.expected_rewards(eval_contexts)
+    checkpoint_set, eval_contexts, true_scores = kendall or _NO_KENDALL
 
     start_round = 0
     checkpointer = None
     if checkpoint is not None:
         from repro.io import checkpoint as ckpt
 
+        if not isinstance(source, RoundStream):
+            raise ConfigurationError("round checkpoints cover the generated stream only")
+        rounds = source
         checkpointer = open_run_checkpointer(checkpoint, obs, recording, flight)
         stored = checkpointer.load()
         if stored is not None:
@@ -398,31 +423,19 @@ def play_fleet(
             )
         if instrumented:
             _record_policy_round(
-                obs,
-                policy,
-                world.theta,
-                platform.store,
-                entry,
-                t,
-                select_end - select_start,
-                observe_end - observe_start,
+                obs, policy, source.theta, platform.store, entry, t,
+                select_end - select_start, observe_end - observe_start,
             )
         rewards[name][t - 1] = entry.reward
         arranged_counts[name][t - 1] = len(arrangement)
-        if t in checkpoint_set and true_scores is not None:
+        if t in checkpoint_set:
             taus[name].append(
                 kendall_tau(policy.ranking_scores(eval_contexts, t), true_scores)
             )
 
-    with obs.span(span_name, **span_attrs, horizon=horizon, run_seed=run_seed):
+    with obs.span(span_name, **span_attrs):
         for t in range(start_round + 1, horizon + 1):
-            user, contexts, thresholds = rounds.draw()
-            # Bound to a name, the |V| probabilities live until the next
-            # round's draw; freed mid-round, glibc trims and re-faults
-            # the heap every round (at |V| = 10^4: 4-65x the minor page
-            # faults and 20-45% more wall time per fleet run).
-            probabilities = world.accept_probabilities(contexts)
-            accepts = thresholds < probabilities
+            user, contexts, accepts = source.reveal(t)
             if profiling and profile.samples(t):
                 # Sampled round: same work, wrapped in profiler spans.
                 # The grid is round-indexed (t % sample_every == 0), so
@@ -464,9 +477,9 @@ def play_fleet(
             policy_name=name,
             rewards=rewards[name],
             arranged=arranged_counts[name],
-            avg_round_time=elapsed[name] / horizon if horizon else 0.0,
-            kendall_steps=steps if track_kendall else None,
-            kendall_taus=np.asarray(taus[name], dtype=float) if track_kendall else None,
+            avg_round_time=elapsed[name] / horizon,
+            kendall_steps=steps if kendall is not None else None,
+            kendall_taus=np.asarray(taus[name], dtype=float) if kendall is not None else None,
         )
         for name in policies
     }

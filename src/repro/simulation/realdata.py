@@ -12,21 +12,25 @@ ratio is that maximum divided by ``c_u`` — the paper keeps the
 denominator at ``c_u`` "assuming that we still arrange c_u events to a
 user even if it is impossible to arrange c_u non-conflicting events all
 with feedbacks of Yes".
+
+:func:`run_real_policy` is that replay as a round source of the shared
+loop, :func:`~repro.simulation.fleet.play_fleet` (no true theta: no drift).
 """
 
 from __future__ import annotations
 
-from typing import Literal, Union
+from typing import Literal, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.bandits.base import Policy, RoundView
+from repro.bandits.base import Policy
 from repro.datasets.damai import DamaiDataset, DamaiUser
 from repro.ebsn.events import EventStore
 from repro.ebsn.platform import Platform
 from repro.ebsn.users import User
 from repro.exceptions import ConfigurationError
 from repro.oracle.exact import exact_arrangement
+from repro.simulation.fleet import play_fleet
 from repro.simulation.history import History
 
 CapacityMode = Union[int, Literal["full"]]
@@ -79,6 +83,24 @@ def full_knowledge_history(
     )
 
 
+class _RealRounds:
+    """One Damai user as a round source: the same round, every round."""
+
+    theta: Optional[np.ndarray] = None  # real data has no true theta
+
+    def __init__(self, dataset: DamaiDataset, user: DamaiUser, capacity: int) -> None:
+        self.dataset = dataset
+        self.user = User(user_id=user.user_id, capacity=capacity)
+        self.contexts = dataset.feature_matrix(user)
+        self.accepts = dataset.feedback_vector(user) > 0
+
+    def make_platform(self) -> Platform:
+        return Platform(EventStore(self.dataset.platform_events()), self.dataset.conflicts)
+
+    def reveal(self, t: int) -> Tuple[User, np.ndarray, np.ndarray]:
+        return self.user, self.contexts, self.accepts
+
+
 def run_real_policy(
     policy: Policy,
     dataset: DamaiDataset,
@@ -92,39 +114,8 @@ def run_real_policy(
     user's deterministic ground truth.  The platform still validates
     the conflict and capacity constraints each round.
     """
-    if horizon < 1:
-        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-    capacity = resolve_capacity(user, mode)
-    contexts = dataset.feature_matrix(user)
-    feedback = dataset.feedback_vector(user)
-    platform = Platform(
-        EventStore(dataset.platform_events()), dataset.conflicts
-    )
-    round_user = User(user_id=user.user_id, capacity=capacity)
-
-    rewards = np.zeros(horizon)
-    arranged_counts = np.zeros(horizon)
-    for t in range(1, horizon + 1):
-        view = RoundView(
-            time_step=t,
-            user=round_user,
-            contexts=contexts,
-            remaining_capacities=platform.store.remaining_capacities,
-            conflicts=platform.conflicts,
-        )
-        arrangement = policy.select(view)
-        entry = platform.commit(
-            round_user,
-            arrangement,
-            feedback=lambda event_id: bool(feedback[event_id] > 0),
-        )
-        policy.observe(
-            view,
-            arrangement,
-            [1.0 if e in entry.accepted else 0.0 for e in arrangement],
-        )
-        rewards[t - 1] = entry.reward
-        arranged_counts[t - 1] = len(arrangement)
-    return History(
-        policy_name=policy.name, rewards=rewards, arranged=arranged_counts
-    )
+    source = _RealRounds(dataset, user, resolve_capacity(user, mode))
+    return play_fleet(
+        {policy.name: policy}, source, horizon, span_name="run_real_policy",
+        span_attrs={"policy": policy.name, "user": user.user_id, "horizon": horizon},
+    )[policy.name]

@@ -25,7 +25,8 @@ from repro.datasets.synthetic import SyntheticWorld
 from repro.obs.core import InstrumentationLike
 from repro.obs.profile import ProfileConfig
 from repro.obs.stream import StreamingSink
-from repro.simulation.fleet import play_fleet
+from repro.simulation.environment import RoundStream
+from repro.simulation.fleet import kendall_probe, play_fleet
 from repro.simulation.history import History
 
 if TYPE_CHECKING:  # import cycle: repro.io.__init__ reaches back here
@@ -103,8 +104,11 @@ def run_policy(
         run (``tests/test_checkpoint_resume`` proves it).  Saving
         never touches an RNG stream.
     """
+    horizon = horizon if horizon is not None else world.config.horizon
     return play_fleet(
-        {policy.name: policy}, world, horizon, run_seed, track_kendall, kendall_checkpoints,
-        eval_contexts, obs, profile, stream, flight, checkpoint,
-        span_name="run_policy", span_attrs={"policy": policy.name},
+        {policy.name: policy}, RoundStream(world, run_seed), horizon,
+        kendall=kendall_probe(world, horizon, track_kendall, kendall_checkpoints, eval_contexts),
+        obs=obs, profile=profile, stream=stream, flight=flight, checkpoint=checkpoint,
+        span_name="run_policy",
+        span_attrs={"policy": policy.name, "horizon": horizon, "run_seed": run_seed},
     )[policy.name]

@@ -5,6 +5,8 @@ trace extends that guarantee across processes, machines and library
 versions: capture one run's full input stream — per round, the user's
 capacity, the context matrix, and the acceptance thresholds — to a
 single ``.npz`` file, then replay any policy against it bit-for-bit.
+:func:`replay_trace` plays a trace through the shared loop,
+:func:`~repro.simulation.fleet.play_fleet`, with a live run's telemetry.
 
 Traces are also the honest way to archive an experiment's inputs next
 to its outputs (the CSVs only record what policies *did*).
@@ -17,14 +19,15 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.bandits.base import Policy, RoundView
+from repro.bandits.base import Policy
 from repro.datasets.synthetic import SyntheticWorld
-from repro.ebsn.conflicts import BaseConflictGraph, ConflictGraph
+from repro.ebsn.conflicts import ConflictGraph
 from repro.ebsn.events import EventStore
 from repro.ebsn.platform import Platform
 from repro.ebsn.users import User
 from repro.exceptions import ConfigurationError
 from repro.simulation.environment import RoundStream
+from repro.simulation.fleet import play_fleet
 from repro.simulation.history import History
 
 #: Bumped when the on-disk layout changes incompatibly.
@@ -32,7 +35,10 @@ TRACE_FORMAT_VERSION = 1
 
 
 class Trace:
-    """One recorded input stream: capacities, contexts, thresholds."""
+    """One recorded input stream: capacities, contexts, thresholds.
+
+    ``accepts[t - 1]`` is round ``t``'s accept mask under ``theta``.
+    """
 
     def __init__(
         self,
@@ -43,6 +49,8 @@ class Trace:
         event_capacities: np.ndarray,
         conflict_pairs: Sequence[Tuple[int, int]],
     ) -> None:
+        if contexts.ndim != 3:
+            raise ConfigurationError(f"contexts must be (horizon, |V|, d), got {contexts.ndim}-D")
         horizon, num_events, dim = contexts.shape
         if user_capacities.shape != (horizon,):
             raise ConfigurationError("user capacities do not match the horizon")
@@ -58,21 +66,17 @@ class Trace:
         self.theta = theta
         self.event_capacities = event_capacities
         self.conflict_pairs = [(int(i), int(j)) for i, j in conflict_pairs]
+        self.horizon, self.num_events, self.dim = horizon, num_events, dim
+        self.accepts = thresholds < np.clip(np.einsum("tvd,d->tv", contexts, theta), 0.0, 1.0)
 
-    @property
-    def horizon(self) -> int:
-        return self.contexts.shape[0]
+    # A trace is a round source of play_fleet: row t - 1 is round t.
+    def make_platform(self) -> Platform:
+        store = EventStore.from_capacities(self.event_capacities.tolist())
+        return Platform(store, ConflictGraph(self.num_events, self.conflict_pairs))
 
-    @property
-    def num_events(self) -> int:
-        return self.contexts.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.contexts.shape[2]
-
-    def conflicts(self) -> BaseConflictGraph:
-        return ConflictGraph(self.num_events, self.conflict_pairs)
+    def reveal(self, t: int) -> Tuple[User, np.ndarray, np.ndarray]:
+        user = User(user_id=t - 1, capacity=int(self.user_capacities[t - 1]))
+        return user, self.contexts[t - 1], self.accepts[t - 1]
 
     # ------------------------------------------------------------------
     # Persistence
@@ -124,6 +128,8 @@ def record_trace(
 ) -> Trace:
     """Capture the input stream a run with this (world, seed) would see."""
     horizon = horizon if horizon is not None else world.config.horizon
+    if horizon < 1:
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     rounds = RoundStream(world, run_seed)
     capacities = np.zeros(horizon, dtype=int)
     contexts = np.zeros((horizon, rounds.num_events, world.config.dim))
@@ -143,39 +149,7 @@ def record_trace(
 
 def replay_trace(policy: Policy, trace: Trace) -> History:
     """Run ``policy`` against a recorded trace (platform-validated)."""
-    conflicts = trace.conflicts()
-    platform = Platform(
-        EventStore.from_capacities(trace.event_capacities.tolist()), conflicts
-    )
-    probabilities_all = np.clip(
-        np.einsum("tvd,d->tv", trace.contexts, trace.theta), 0.0, 1.0
-    )
-    rewards = np.zeros(trace.horizon)
-    arranged_counts = np.zeros(trace.horizon)
-    for t in range(trace.horizon):
-        user = User(user_id=t, capacity=int(trace.user_capacities[t]))
-        view = RoundView(
-            time_step=t + 1,
-            user=user,
-            contexts=trace.contexts[t],
-            remaining_capacities=platform.store.remaining_capacities,
-            conflicts=conflicts,
-        )
-        arrangement = policy.select(view)
-        row_thresholds = trace.thresholds[t]
-        row_probabilities = probabilities_all[t]
-        entry = platform.commit(
-            user,
-            arrangement,
-            feedback=lambda e: bool(row_thresholds[e] < row_probabilities[e]),
-        )
-        policy.observe(
-            view,
-            arrangement,
-            [1.0 if e in set(entry.accepted) else 0.0 for e in arrangement],
-        )
-        rewards[t] = entry.reward
-        arranged_counts[t] = len(arrangement)
-    return History(
-        policy_name=policy.name, rewards=rewards, arranged=arranged_counts
-    )
+    return play_fleet(
+        {policy.name: policy}, trace, trace.horizon, span_name="replay_trace",
+        span_attrs={"policy": policy.name, "horizon": trace.horizon},
+    )[policy.name]

@@ -97,3 +97,22 @@ def test_trace_constructor_validation(trace):
             event_capacities=trace.event_capacities,
             conflict_pairs=trace.conflict_pairs,
         )
+    with pytest.raises(ConfigurationError, match="contexts must be"):
+        Trace(
+            user_capacities=trace.user_capacities,
+            contexts=trace.contexts[0],
+            thresholds=trace.thresholds,
+            theta=trace.theta,
+            event_capacities=trace.event_capacities,
+            conflict_pairs=trace.conflict_pairs,
+        )
+
+
+def test_trace_load_rejects_corrupt_contexts(trace, tmp_path):
+    path = trace.save(tmp_path / "run")
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    arrays["contexts"] = arrays["contexts"].reshape(-1)
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigurationError, match="contexts must be"):
+        Trace.load(path)

@@ -17,61 +17,30 @@ Run with::
 
 import numpy as np
 
-from repro.bandits import RoundView, UcbPolicy, make_policy
+from repro.bandits import UcbPolicy, make_policy
 from repro.datasets.synthetic import SyntheticConfig, build_world
-from repro.ebsn.platform import Platform
-from repro.ebsn.users import User
+from repro.experiments.extras import OpposedRoster
 from repro.extensions import DynamicEventSchedule, PerUserPolicyPool, run_dynamic_policy
-from repro.linalg.sampling import make_rng
+from repro.simulation.fleet import play_fleet
 
 
-def per_user_demo(seed: int = 99) -> None:
+def per_user_demo() -> None:
     """Three users with opposed tastes: shared model vs per-user pool."""
     config = SyntheticConfig.scaled_default(seed=3, dim=8)
     world = build_world(config)
-    rng = make_rng(seed)
     # Three opposed true preference vectors.
     thetas = [world.theta, -world.theta, np.roll(world.theta, 3)]
-    sampler = world.make_context_sampler()
-
-    def play(policy, label: str) -> None:
-        platform = Platform(world.make_store(), world.conflicts)
-        local_rng = make_rng(1234)
-        accepted = arranged = 0
-        for t in range(1, 3001):
-            user_id = (t - 1) % 3
-            user = User(user_id=user_id, capacity=3)
-            contexts = sampler.sample(local_rng)
-            view = RoundView(
-                time_step=t,
-                user=user,
-                contexts=contexts,
-                remaining_capacities=platform.store.remaining_capacities,
-                conflicts=platform.conflicts,
-            )
-            arrangement = policy.select(view)
-            probabilities = np.clip(contexts @ thetas[user_id], 0.0, 1.0)
-            thresholds = local_rng.uniform(size=len(contexts))
-            entry = platform.commit(
-                user,
-                arrangement,
-                feedback=lambda e: bool(thresholds[e] < probabilities[e]),
-            )
-            policy.observe(
-                view,
-                arrangement,
-                [1.0 if e in set(entry.accepted) else 0.0 for e in arrangement],
-            )
-            accepted += entry.reward
-            arranged += len(arrangement)
-        print(f"  {label:<22} accept ratio {accepted / arranged:.3f}")
-
-    print("Remark 1 - per-user models (3 users with opposed tastes):")
-    play(UcbPolicy(dim=config.dim), "shared UCB model")
-    play(
-        PerUserPolicyPool(lambda user_id: UcbPolicy(dim=config.dim)),
-        "per-user UCB pool",
+    models = {
+        "shared UCB model": UcbPolicy(dim=config.dim),
+        "per-user UCB pool": PerUserPolicyPool(lambda user_id: UcbPolicy(dim=config.dim)),
+    }
+    histories = play_fleet(
+        models, OpposedRoster(world, thetas, seed=1234), 3000,
+        span_name="roster", span_attrs={"policies": list(models)},
     )
+    print("Remark 1 - per-user models (3 users with opposed tastes):")
+    for label, history in histories.items():
+        print(f"  {label:<22} accept ratio {history.overall_accept_ratio:.3f}")
 
 
 def dynamic_events_demo() -> None:

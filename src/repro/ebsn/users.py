@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.linalg.sampling import (
     RngLike,
@@ -48,10 +50,21 @@ class User:
     attributes: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ConfigurationError(
-                f"user capacity must be >= 1, got {self.capacity}"
-            )
+        check_user_capacity(self.capacity)
+
+
+def check_user_capacity(capacity: object) -> None:
+    """Raise :class:`ConfigurationError` unless ``capacity`` is an integer >= 1.
+
+    ``c_u`` counts events (Definition 3), so only Python and numpy
+    integers qualify.  A bare ``capacity < 1`` would let NaN through
+    (``nan < 1`` is false), and every later ``len(...) > capacity``
+    check would then pass too.
+    """
+    if not isinstance(capacity, (int, np.integer)) or capacity < 1:
+        raise ConfigurationError(
+            f"user capacity must be an integer >= 1, got {capacity!r}"
+        )
 
 
 class UserArrivalStream:

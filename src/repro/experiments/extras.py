@@ -81,7 +81,7 @@ def mab_experiment(
     )
 
 
-class _OpposedRoster:
+class OpposedRoster:
     """Remark 1's round source: user ``(t - 1) % 3`` accepts by their own theta.
 
     Contexts, then thresholds, come from one ``make_rng(seed)`` stream
@@ -122,7 +122,7 @@ def extensions_experiment(
         "PerUser": PerUserPolicyPool(lambda user_id: UcbPolicy(dim=config.dim)),
     }
     roster = play_fleet(
-        models, _OpposedRoster(world, thetas, seed=1234), horizon, span_name="roster",
+        models, OpposedRoster(world, thetas, seed=1234), horizon, span_name="roster",
         span_attrs={"policies": list(models), "horizon": horizon},
     )
 

@@ -7,8 +7,8 @@ Design goals, in priority order:
    attribute read: ``if obs.enabled: ...``.  The default is the shared
    :data:`NULL_OBS` singleton whose ``enabled`` is ``False``, so the
    un-instrumented cost is one attribute load and a branch —
-   ``benchmarks/bench_obs_overhead.py`` regresses this against a bare
-   re-implementation of the round loop and CI fails above 3% slowdown.
+   ``benchmarks/bench_overhead.py`` regresses this against a bare
+   re-implementation of the select path and CI fails above 3% slowdown.
 2. **Deterministic, mergeable aggregation.**  Counters add, histograms
    are fixed-bucket (bucket-wise addition), series concatenate in
    recording order; :meth:`Instrumentation.merge_snapshot` folds a

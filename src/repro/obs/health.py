@@ -40,7 +40,7 @@ Determinism contract: detectors are pure functions of the observed
 series — no RNG is ever touched, rewards are bit-identical with the
 monitor attached or not, and the disabled-mode cost is one ``getattr``
 per instrumented round (gated ≤3% by
-``benchmarks/bench_health_overhead.py``).
+``benchmarks/bench_overhead.py``).
 """
 
 from __future__ import annotations

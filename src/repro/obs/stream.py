@@ -20,7 +20,7 @@ Flush cadence is configurable in **rounds** and **seconds** (whichever
 fires first); the cadence check is two integer comparisons on the
 monotonic clock, and the sink is only consulted at all when
 instrumentation is enabled — the disabled-mode hot path is unchanged
-(``benchmarks/bench_obs_overhead.py`` gates this at ≤3%).
+(``benchmarks/bench_overhead.py`` gates this at ≤3%).
 
 Determinism contract: streaming writes *observe* the registry, never
 mutate it, and never touch an RNG stream — results are bit-identical

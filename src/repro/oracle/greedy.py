@@ -31,6 +31,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.ebsn.conflicts import BaseConflictGraph
+from repro.ebsn.users import check_user_capacity
 from repro.exceptions import ConfigurationError
 
 FloatArray = npt.NDArray[np.float64]
@@ -194,7 +195,7 @@ def oracle_greedy(
     remaining_capacities:
         Remaining capacity per event id; events at 0 are skipped.
     user_capacity:
-        ``c_u`` — the maximum arrangement size.
+        ``c_u`` — the maximum arrangement size, an integer >= 1.
     order:
         Optional explicit visiting order (used by the Random baseline);
         overrides the score sort when given.
@@ -222,8 +223,7 @@ def oracle_greedy(
             f"{score_vec.size} scores but conflict graph covers "
             f"{conflicts.num_events} events"
         )
-    if user_capacity < 1:
-        raise ConfigurationError(f"user capacity must be >= 1, got {user_capacity}")
+    check_user_capacity(user_capacity)
 
     arrangement: List[int] = []
     blocked: BoolArray = np.zeros(score_vec.size, dtype=bool)

@@ -1,14 +1,45 @@
 """User records and arrival streams."""
 
+import numpy as np
 import pytest
 
+from repro.ebsn.conflicts import ConflictGraph
 from repro.ebsn.users import FixedUserStream, RosterUserStream, User, UserArrivalStream
 from repro.exceptions import ConfigurationError
+from repro.oracle.greedy import oracle_greedy
 
 
 def test_user_capacity_must_be_positive():
     with pytest.raises(ConfigurationError):
         User(user_id=0, capacity=0)
+
+
+def _arrange_with(capacity):
+    return oracle_greedy(np.ones(3), ConflictGraph(3), np.ones(3), user_capacity=capacity)
+
+
+@pytest.mark.parametrize(
+    "entry", [lambda c: User(user_id=0, capacity=c), _arrange_with], ids=["User", "oracle"]
+)
+@pytest.mark.parametrize(
+    "capacity, integral",
+    [
+        (float("nan"), False),
+        (float("inf"), False),
+        (float("-inf"), False),
+        (2.5, False),
+        (0, False),
+        (1, True),
+        (np.int64(3), True),
+    ],
+)
+def test_capacity_must_be_an_integer_of_at_least_one(entry, capacity, integral):
+    """Definition 3's ``c_u`` is a count: NaN used to pass as unbounded."""
+    if integral:
+        entry(capacity)
+    else:
+        with pytest.raises(ConfigurationError):
+            entry(capacity)
 
 
 def test_stream_draws_capacities_in_range():

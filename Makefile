@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint analyze analyze-baseline typecheck check bench bench-perf bench-obs bench-baseline bench-compare results claims replicate examples clean
+.PHONY: install test lint analyze equivalence typecheck check bench bench-perf bench-obs bench-baseline bench-compare results claims replicate examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -16,14 +16,15 @@ lint:
 	PYTHONPATH=src $(PYTHON) -m repro lint src benchmarks examples
 
 # Whole-program analyzer (FAS011-FAS014; see DESIGN.md §5.10).
-# Exit 1 only on findings not absorbed by devtools/analyze-baseline.json.
+# Exit 1 on any finding, 2 on a usage error.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze src
 
-# Refresh the committed analyzer baseline after an *intentional*
-# change (absorbs every current finding; review the diff).
-analyze-baseline:
-	PYTHONPATH=src $(PYTHON) -m repro analyze src --update-baseline
+# Quickstart equivalence checks (the CI equivalence job): health alert
+# onset, byte-identical decision/alert logs across runs and --jobs 4,
+# replay/diff/ope, and SIGKILL-then-resume serially and with --jobs 4.
+equivalence:
+	PYTHONPATH=src bash devtools/equivalence.sh
 
 # Strict mypy on the typed public API (repro.linalg / parallel /
 # oracle / devtools). Skips gracefully where mypy is not installed

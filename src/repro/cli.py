@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze",
         help=(
-            "whole-program determinism analysis (FAS011-FAS014: call-graph "
-            "rules, SARIF, baseline gating)"
+            "whole-program determinism analysis (FAS011-FAS014 call-graph "
+            "rules; fails on any finding)"
         ),
     )
     from repro.devtools.analyze.cli import add_analyze_arguments

@@ -16,18 +16,12 @@ engine, and ships four cross-module rules (:mod:`.rules`):
 * **FAS014** — no dead exports: public symbols must be reachable from
   the CLI, ``__all__`` lists, module bodies or the test import surface.
 
-Findings report through the shared fasealint reporter stack, a SARIF
-2.1.0 reporter (:mod:`.sarif`) and a committed baseline
-(:mod:`.baseline`) so CI fails only on *new* findings.  See
+Findings report through the shared fasealint text/JSON reporters, and
+``fasea analyze`` fails on any finding: the gate is zero findings.  See
 ``docs/static-analysis.md`` and DESIGN.md §5.10.
 """
 
-from repro.devtools.analyze.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.devtools.analyze.cli import AnalyzeResult, run_project, summarize_project
+from repro.devtools.analyze.cli import AnalyzeResult, run_project
 from repro.devtools.analyze.dataflow import (
     compute_impurity,
     compute_taint,
@@ -39,23 +33,17 @@ from repro.devtools.analyze.rules import (
     registered_analyze_rules,
     run_rules,
 )
-from repro.devtools.analyze.sarif import render_sarif
 
 __all__ = [
     "AnalyzeConfig",
     "AnalyzeResult",
     "ModuleSummary",
     "ProjectGraph",
-    "apply_baseline",
     "compute_impurity",
     "compute_taint",
-    "load_baseline",
     "reachable_from",
     "registered_analyze_rules",
-    "render_sarif",
     "run_project",
     "run_rules",
     "summarize_module",
-    "summarize_project",
-    "write_baseline",
 ]

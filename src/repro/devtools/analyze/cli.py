@@ -1,52 +1,30 @@
 """Orchestration and argument wiring for ``fasea analyze``.
 
-Pipeline per run: scan files → summarize (or reuse the content-hash
-cache) → build the :class:`ProjectGraph` → run the FAS011-FAS014
-whole-program rules → subtract the committed baseline → render
-text/JSON/SARIF.  The incremental cache at ``.fasea_cache/analyze.json``
-stores the per-file :class:`ModuleSummary` keyed by content hash, so a
-warm run re-parses only changed files (a cold run on this repository is
-a full parse; the warm log line in CI shows the difference).
+Pipeline per run: scan files → summarize each one → build the
+:class:`ProjectGraph` → run the FAS011-FAS014 whole-program rules →
+render text/JSON.  The gate is zero findings: the command exits 1 on
+any finding and 2 on a usage error (unknown rule id, missing path).
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.devtools.analyze.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.devtools.analyze.graph import (
-    ModuleSummary,
-    ProjectGraph,
-    scan_files,
-    sha256_text,
-    summarize_module,
-)
+from repro.devtools.analyze.graph import ProjectGraph, scan_files, summarize_module
 from repro.devtools.analyze.rules import (
     AnalyzeConfig,
     registered_analyze_rules,
     run_rules,
 )
-from repro.devtools.analyze.sarif import render_sarif
+from repro.devtools.lint.cli import report_missing_paths
 from repro.devtools.lint.engine import Violation
 from repro.devtools.lint.reporters import render_json, render_text
-
-#: Cache schema version; bump whenever ModuleSummary's shape changes.
-CACHE_VERSION = 2
-
-#: Default cache location, relative to the working directory.
-DEFAULT_CACHE = ".fasea_cache/analyze.json"
 
 #: Directories scanned (when present) for the FAS014 import roots.
 DEFAULT_ROOT_DIRS: Tuple[str, ...] = ("tests", "benchmarks", "examples")
@@ -57,48 +35,12 @@ class AnalyzeResult:
     """Everything one analyzer run produced."""
 
     violations: List[Violation] = field(default_factory=list)
-    new_violations: List[Violation] = field(default_factory=list)
-    baselined: List[Violation] = field(default_factory=list)
-    expired: List[Dict[str, object]] = field(default_factory=list)
     files_total: int = 0
-    files_parsed: int = 0
-    files_cached: int = 0
     seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return not self.new_violations
-
-
-# ----------------------------------------------------------------------
-# Incremental cache
-# ----------------------------------------------------------------------
-def load_cache(path: "str | Path") -> Dict[str, Dict[str, object]]:
-    """Per-path summary dicts from a prior run ({} when absent/stale)."""
-    target = Path(path)
-    if not target.exists():
-        return {}
-    try:
-        document = json.loads(target.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if not isinstance(document, dict) or document.get("version") != CACHE_VERSION:
-        return {}
-    files = document.get("files")
-    return dict(files) if isinstance(files, dict) else {}
-
-
-def save_cache(
-    path: "str | Path", summaries: Sequence[ModuleSummary]
-) -> None:
-    """Persist summaries keyed by display path (atomic enough for a cache)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    document = {
-        "version": CACHE_VERSION,
-        "files": {summary.path: summary.as_dict() for summary in summaries},
-    }
-    target.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
+        return not self.violations
 
 
 # ----------------------------------------------------------------------
@@ -130,49 +72,15 @@ def collect_import_roots(root_dirs: Sequence["str | Path"]) -> Tuple[str, ...]:
 # ----------------------------------------------------------------------
 # Orchestration
 # ----------------------------------------------------------------------
-def summarize_project(
-    paths: Sequence["str | Path"],
-    cache_path: Optional["str | Path"] = None,
-) -> Tuple[List[ModuleSummary], int, int]:
-    """Summaries for every file under ``paths`` plus (parsed, cached) counts."""
-    cached = load_cache(cache_path) if cache_path is not None else {}
-    summaries: List[ModuleSummary] = []
-    parsed = reused = 0
-    for path in scan_files(paths):
-        display = path.as_posix()
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            summaries.append(summarize_module(path, Path(".")))
-            parsed += 1
-            continue
-        digest = sha256_text(source)
-        entry = cached.get(display)
-        if entry is not None and entry.get("sha256") == digest:
-            try:
-                summaries.append(ModuleSummary.from_dict(entry))  # type: ignore[arg-type]
-                reused += 1
-                continue
-            except (KeyError, TypeError, ValueError):
-                pass  # malformed cache entry: fall through to a re-parse
-        summaries.append(summarize_module(path, Path("."), source=source))
-        parsed += 1
-    if cache_path is not None:
-        save_cache(cache_path, summaries)
-    return summaries, parsed, reused
-
-
 def run_project(
     paths: Sequence["str | Path"],
     config: Optional[AnalyzeConfig] = None,
-    baseline_path: Optional["str | Path"] = DEFAULT_BASELINE,
-    cache_path: Optional["str | Path"] = DEFAULT_CACHE,
     root_dirs: Sequence["str | Path"] = DEFAULT_ROOT_DIRS,
 ) -> AnalyzeResult:
     """Run the whole-program analyzer end to end (library entry point)."""
     started = time.perf_counter()
     config = config or AnalyzeConfig()
-    summaries, parsed, reused = summarize_project(paths, cache_path)
+    summaries = [summarize_module(path, Path(".")) for path in scan_files(paths)]
     graph = ProjectGraph(summaries)
     extra_roots = tuple(config.extra_roots) + collect_import_roots(root_dirs)
     config = AnalyzeConfig(
@@ -184,19 +92,9 @@ def run_project(
         extra_roots=extra_roots,
         work_unit_entry_points=config.work_unit_entry_points,
     )
-    violations = run_rules(graph, config)
-    entries = (
-        load_baseline(baseline_path) if baseline_path is not None else []
-    )
-    new, baselined, expired = apply_baseline(violations, entries)
     return AnalyzeResult(
-        violations=violations,
-        new_violations=new,
-        baselined=baselined,
-        expired=expired,
+        violations=run_rules(graph, config),
         files_total=len(summaries),
-        files_parsed=parsed,
-        files_cached=reused,
         seconds=time.perf_counter() - started,
     )
 
@@ -214,34 +112,9 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="report format (sarif emits the full finding set)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline file gating new findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE,
-        help=f"incremental summary cache (default: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-parse every file, ignoring and not writing the cache",
+        help="report format",
     )
     parser.add_argument(
         "--select",
@@ -284,54 +157,20 @@ def run_analyze(args: argparse.Namespace) -> int:
     config = AnalyzeConfig(
         select=_split(args.select), ignore=_split(args.ignore) or ()
     )
-    baseline_path = None if args.no_baseline else args.baseline
-    cache_path = None if args.no_cache else args.cache
+    if report_missing_paths("analyze", args.paths):
+        return 2
     try:
         result = run_project(
-            args.paths,
-            config=config,
-            baseline_path=baseline_path,
-            cache_path=cache_path,
-            root_dirs=_split(args.roots) or (),
+            args.paths, config=config, root_dirs=_split(args.roots) or ()
         )
-    except ValueError as error:  # unknown rule ids, bad baseline document
+    except ValueError as error:  # unknown rule ids in --select/--ignore
         print(f"fasea analyze: {error}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        write_baseline(args.baseline, result.violations)
-        print(
-            f"fasea analyze: baseline updated with "
-            f"{len(result.violations)} finding(s) -> {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
     print(
-        f"fasea analyze: {result.files_total} files "
-        f"({result.files_parsed} parsed, {result.files_cached} cached) "
-        f"in {result.seconds:.2f}s; {len(result.violations)} finding(s), "
-        f"{len(result.baselined)} baselined, "
-        f"{len(result.new_violations)} new",
+        f"fasea analyze: {result.files_total} files in {result.seconds:.2f}s; "
+        f"{len(result.violations)} finding(s)",
         file=sys.stderr,
     )
-    if result.expired:
-        print(
-            f"fasea analyze: {len(result.expired)} stale baseline entr"
-            f"{'y' if len(result.expired) == 1 else 'ies'} "
-            "(run --update-baseline to tighten)",
-            file=sys.stderr,
-        )
-    if args.format == "sarif":
-        summaries = {
-            rule_id: rule_cls.summary
-            for rule_id, rule_cls in registered_analyze_rules().items()
-        }
-        output = render_sarif(
-            result.violations,
-            summaries,
-            suppressed=set(result.baselined),
-        )
-    else:
-        renderer = render_json if args.format == "json" else render_text
-        output = renderer(result.new_violations)
-    print(output, end="")
-    return 1 if result.new_violations else 0
+    renderer = render_json if args.format == "json" else render_text
+    print(renderer(result.violations), end="")
+    return 0 if result.ok else 1

@@ -16,7 +16,7 @@ Three fixpoint computations feed the FAS011-FAS014 rules:
   FAS013 and the dead-export sweep of FAS014.
 
 All passes iterate in sorted order, so witnesses — and therefore
-messages, reports and baselines — are deterministic.
+messages and reports — are deterministic.
 """
 
 from __future__ import annotations

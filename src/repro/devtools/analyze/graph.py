@@ -5,11 +5,7 @@ the fasealint :class:`~repro.devtools.lint.engine.FileContext`) into a
 plain-data :class:`ModuleSummary`: symbols, imports, ``__all__``, the
 per-function facts the dataflow passes need (RNG-factory calls,
 global-state mutation, wall-clock reads, ``print`` calls, unordered
-iteration sites) and the raw call/reference expressions.  Summaries are
-JSON-serializable by construction, which is what makes the incremental
-content-hash cache (``.fasea_cache/analyze.json``) possible: a warm run
-rebuilds the project graph from cached summaries without re-parsing
-unchanged files.
+iteration sites) and the raw call/reference expressions.
 
 On top of the summaries, :class:`ProjectGraph` builds the whole-program
 symbol table and resolves raw call/reference expressions into
@@ -25,10 +21,9 @@ deterministic: every iteration order is sorted.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.lint.engine import FileContext, iter_python_files
 from repro.devtools.lint.rules import _RNG_FACTORIES, _SEED_NAME_RE, _dotted_name
@@ -55,11 +50,6 @@ _ORDER_TRANSPARENT = frozenset({"list", "tuple", "enumerate", "reversed", "iter"
 _ORDER_DISCHARGING = frozenset({"sorted", "min", "max", "sum", "len", "any", "all"})
 
 
-def sha256_text(text: str) -> str:
-    """Stable content hash used by the incremental cache."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class CallSite:
     """One call expression inside a function body."""
@@ -72,29 +62,6 @@ class CallSite:
     seed_args: bool  #: some argument mentions an rng/seed-like name
     first_arg: Optional[str]  #: raw dotted first positional / ``fn=`` arg
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "callee": self.callee,
-            "lineno": self.lineno,
-            "col": self.col,
-            "has_args": self.has_args,
-            "all_const": self.all_const,
-            "seed_args": self.seed_args,
-            "first_arg": self.first_arg,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallSite":
-        return cls(
-            callee=str(data["callee"]),
-            lineno=int(data["lineno"]),
-            col=int(data["col"]),
-            has_args=bool(data["has_args"]),
-            all_const=bool(data["all_const"]),
-            seed_args=bool(data["seed_args"]),
-            first_arg=data["first_arg"],
-        )
-
 
 @dataclass
 class Site:
@@ -103,13 +70,6 @@ class Site:
     lineno: int
     col: int
     detail: str
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"lineno": self.lineno, "col": self.col, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Site":
-        return cls(int(data["lineno"]), int(data["col"]), str(data["detail"]))
 
 
 @dataclass
@@ -133,43 +93,6 @@ class FunctionSummary:
     set_iterations: List[Site] = field(default_factory=list)
     refs: List[str] = field(default_factory=list)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "class_name": self.class_name,
-            "lineno": self.lineno,
-            "col": self.col,
-            "is_public": self.is_public,
-            "has_seed_param": self.has_seed_param,
-            "decorated": self.decorated,
-            "calls": [call.as_dict() for call in self.calls],
-            "rng_sources": [site.as_dict() for site in self.rng_sources],
-            "global_mutations": [site.as_dict() for site in self.global_mutations],
-            "wall_clock_reads": [site.as_dict() for site in self.wall_clock_reads],
-            "print_calls": [site.as_dict() for site in self.print_calls],
-            "set_iterations": [site.as_dict() for site in self.set_iterations],
-            "refs": list(self.refs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            name=str(data["name"]),
-            class_name=data["class_name"],
-            lineno=int(data["lineno"]),
-            col=int(data["col"]),
-            is_public=bool(data["is_public"]),
-            has_seed_param=bool(data["has_seed_param"]),
-            decorated=bool(data["decorated"]),
-            calls=[CallSite.from_dict(c) for c in data["calls"]],
-            rng_sources=[Site.from_dict(s) for s in data["rng_sources"]],
-            global_mutations=[Site.from_dict(s) for s in data["global_mutations"]],
-            wall_clock_reads=[Site.from_dict(s) for s in data["wall_clock_reads"]],
-            print_calls=[Site.from_dict(s) for s in data["print_calls"]],
-            set_iterations=[Site.from_dict(s) for s in data["set_iterations"]],
-            refs=[str(ref) for ref in data["refs"]],
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -183,29 +106,6 @@ class ClassSummary:
     methods: List[str] = field(default_factory=list)
     bases: List[str] = field(default_factory=list)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "col": self.col,
-            "is_public": self.is_public,
-            "decorated": self.decorated,
-            "methods": list(self.methods),
-            "bases": list(self.bases),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=str(data["name"]),
-            lineno=int(data["lineno"]),
-            col=int(data["col"]),
-            is_public=bool(data["is_public"]),
-            decorated=bool(data["decorated"]),
-            methods=[str(m) for m in data["methods"]],
-            bases=[str(b) for b in data["bases"]],
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -213,7 +113,6 @@ class ModuleSummary:
 
     module: str
     path: str  #: display path, POSIX style
-    sha256: str
     imports: Dict[str, str] = field(default_factory=dict)
     all_exports: Optional[List[str]] = None
     functions: List[FunctionSummary] = field(default_factory=list)
@@ -222,48 +121,6 @@ class ModuleSummary:
     file_pragmas: List[str] = field(default_factory=list)
     line_pragmas: Dict[int, List[str]] = field(default_factory=dict)
     parse_error: Optional[Site] = None
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "sha256": self.sha256,
-            "imports": dict(self.imports),
-            "all_exports": self.all_exports,
-            "functions": [fn.as_dict() for fn in self.functions],
-            "classes": [klass.as_dict() for klass in self.classes],
-            "module_refs": list(self.module_refs),
-            "file_pragmas": list(self.file_pragmas),
-            "line_pragmas": {
-                str(line): rules for line, rules in sorted(self.line_pragmas.items())
-            },
-            "parse_error": self.parse_error.as_dict() if self.parse_error else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=str(data["module"]),
-            path=str(data["path"]),
-            sha256=str(data["sha256"]),
-            imports={str(k): str(v) for k, v in data["imports"].items()},
-            all_exports=(
-                None
-                if data["all_exports"] is None
-                else [str(name) for name in data["all_exports"]]
-            ),
-            functions=[FunctionSummary.from_dict(fn) for fn in data["functions"]],
-            classes=[ClassSummary.from_dict(k) for k in data["classes"]],
-            module_refs=[str(ref) for ref in data["module_refs"]],
-            file_pragmas=[str(rule) for rule in data["file_pragmas"]],
-            line_pragmas={
-                int(line): [str(rule) for rule in rules]
-                for line, rules in data["line_pragmas"].items()
-            },
-            parse_error=(
-                Site.from_dict(data["parse_error"]) if data["parse_error"] else None
-            ),
-        )
 
     def is_suppressed(self, rule_id: str, lineno: int) -> bool:
         """Honour ``# fasealint: disable[-file]=`` pragmas for findings."""
@@ -548,21 +405,18 @@ def _resolve_raw(raw: str, imports: Dict[str, str]) -> str:
     return f"{target}.{rest}" if rest else target
 
 
-def summarize_module(path: Path, root: Path, source: Optional[str] = None) -> ModuleSummary:
+def summarize_module(path: Path, root: Path) -> ModuleSummary:
     """Parse one file into its :class:`ModuleSummary` (never raises)."""
     display = path.as_posix()
     module = module_name_for(path, root)
-    if source is None:
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as error:
-            return ModuleSummary(
-                module=module,
-                path=display,
-                sha256="",
-                parse_error=Site(1, 0, f"could not read file: {error}"),
-            )
-    digest = sha256_text(source)
+    try:
+        source = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
+        return ModuleSummary(
+            module=module,
+            path=display,
+            parse_error=Site(1, 0, f"could not read file: {error}"),
+        )
     try:
         ctx = FileContext(path, display, source)
     except (SyntaxError, ValueError) as error:
@@ -571,7 +425,6 @@ def summarize_module(path: Path, root: Path, source: Optional[str] = None) -> Mo
         return ModuleSummary(
             module=module,
             path=display,
-            sha256=digest,
             parse_error=Site(int(line), int(col), f"could not parse file: {error}"),
         )
     tree = ctx.tree
@@ -579,7 +432,6 @@ def summarize_module(path: Path, root: Path, source: Optional[str] = None) -> Mo
     summary = ModuleSummary(
         module=module,
         path=display,
-        sha256=digest,
         imports=imports,
         all_exports=_collect_all_exports(tree),
         file_pragmas=sorted(ctx.file_pragmas),

@@ -3,11 +3,10 @@
 Each rule consumes the :class:`~repro.devtools.analyze.graph.ProjectGraph`
 plus the dataflow passes and emits plain fasealint
 :class:`~repro.devtools.lint.engine.Violation` records, so the existing
-text/JSON reporters (and the new SARIF reporter) render them unchanged.
+text/JSON reporters render them unchanged.
 
 Messages deliberately contain **no line numbers**: the violation record
-carries the location, and keeping messages line-free makes baseline
-fingerprints stable under unrelated edits that only shift code around.
+carries the location.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Tuple
+from pathlib import Path
+from typing import Optional, Sequence, Tuple
 
 from repro.devtools.lint.engine import LintConfig, lint_paths, registered_rules
 from repro.devtools.lint.reporters import render_json, render_text
+from repro.exceptions import ConfigurationError
 
 #: Default lint targets relative to the repository root.
 DEFAULT_PATHS: Tuple[str, ...] = ("src",)
@@ -60,14 +62,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--project",
-        action="store_true",
-        help=(
-            "additionally run the whole-program analyzer (FAS011-FAS014) "
-            "over the same paths and merge its new findings"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -81,6 +75,17 @@ def _split(value: Optional[str]) -> Optional[Tuple[str, ...]]:
     return parts or None
 
 
+def report_missing_paths(command: str, paths: Sequence[str]) -> bool:
+    """Print a usage error for each path that does not exist; True if any.
+
+    Scanning a mistyped path would find no files and pass the gate.
+    """
+    missing = [path for path in paths if not Path(path).exists()]
+    for path in missing:
+        print(f"fasea {command}: no such file or directory: {path}", file=sys.stderr)
+    return bool(missing)
+
+
 def run_lint(args: argparse.Namespace) -> int:
     """Execute ``fasea lint`` from parsed arguments; return exit code."""
     if args.list_rules:
@@ -92,16 +97,13 @@ def run_lint(args: argparse.Namespace) -> int:
         ignore=_split(args.ignore) or (),
         rng_whitelist=_split(args.rng_whitelist) or (),
     )
+    if report_missing_paths("lint", args.paths):
+        return 2
     try:
         violations = lint_paths(args.paths, config, jobs=args.jobs)
-    except ValueError as error:  # unknown rule ids in --select/--ignore
+    except (ValueError, ConfigurationError) as error:  # bad rule ids or --jobs
         print(f"fasea lint: {error}", file=sys.stderr)
         return 2
-    if getattr(args, "project", False):
-        from repro.devtools.analyze import run_project
-
-        result = run_project(args.paths)
-        violations = sorted(violations + list(result.new_violations))
     renderer = render_json if args.format == "json" else render_text
     output = renderer(violations)
     print(output, end="")

@@ -368,9 +368,12 @@ def lint_paths(
     config = config or LintConfig()
     files = list(iter_python_files(paths))
     violations: List[Violation] = []
-    if jobs is not None and jobs != 1 and len(files) > 1:
-        from repro.parallel import run_work_units
+    parallel = jobs is not None and jobs != 1
+    if parallel:
+        from repro.parallel import resolve_jobs, run_work_units
 
+        resolve_jobs(jobs)  # a negative count fails even for one file
+    if parallel and len(files) > 1:
         units = [(str(path), config) for path in files]
         for batch in run_work_units(_lint_one_path, units, jobs=jobs):
             violations.extend(batch)

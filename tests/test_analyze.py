@@ -1,10 +1,9 @@
 """Tests for the whole-program analyzer (``repro.devtools.analyze``).
 
 Covers: the FAS011-FAS014 rule catalogue on a seeded fixture project,
-the golden JSON report, baseline add/expire round-trips, the incremental
-summary cache, SARIF 2.1.0 rendering, pragma suppression, the CLI and
-the self-check that the repository's own ``src/`` tree is clean modulo
-the committed baseline.
+the golden JSON report, pragma suppression, the CLI (exit codes, status
+line, usage errors) and the self-check that the repository's own
+``src/`` tree has no findings.
 """
 
 import json
@@ -17,17 +16,11 @@ from repro.cli import main as cli_main
 from repro.devtools.analyze import (
     AnalyzeConfig,
     ProjectGraph,
-    apply_baseline,
-    load_baseline,
     registered_analyze_rules,
-    render_sarif,
     run_project,
     summarize_module,
-    write_baseline,
 )
-from repro.devtools.analyze.baseline import BASELINE_VERSION, collect, fingerprint
 from repro.devtools.analyze.cli import collect_import_roots
-from repro.devtools.analyze.sarif import SARIF_SCHEMA, SARIF_VERSION, TOOL_NAME
 from repro.devtools.lint.reporters import render_json, render_text
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -39,8 +32,6 @@ ANALYZE_RULES = ("FAS011", "FAS012", "FAS013", "FAS014")
 
 
 def _run(root, **kwargs):
-    kwargs.setdefault("baseline_path", None)
-    kwargs.setdefault("cache_path", None)
     kwargs.setdefault("root_dirs", ())
     return run_project([Path(root) / "src"], **kwargs)
 
@@ -94,13 +85,6 @@ def test_unknown_rule_id_is_rejected():
 # ----------------------------------------------------------------------
 # Graph / summaries
 # ----------------------------------------------------------------------
-def test_module_summary_json_round_trip():
-    path = PROJ / "src" / "miniapp" / "workers.py"
-    summary = summarize_module(path, PROJ)
-    payload = json.loads(json.dumps(summary.as_dict()))
-    assert type(summary).from_dict(payload).as_dict() == summary.as_dict()
-
-
 def test_call_graph_resolves_cross_module_imports():
     summaries = [
         summarize_module(path, PROJ)
@@ -110,107 +94,6 @@ def test_call_graph_resolves_cross_module_imports():
     edges = graph.call_edges["miniapp.pipeline.run_pipeline"]
     targets = {edge.target for edge in edges if edge.in_project}
     assert "miniapp.helpers._draw_noise" in targets
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def test_baseline_round_trip_absorbs_everything(tmp_path):
-    result = _run(PROJ)
-    baseline = tmp_path / "baseline.json"
-    write_baseline(baseline, result.violations)
-    entries = load_baseline(baseline)
-    new, baselined, expired = apply_baseline(result.violations, entries)
-    assert new == []
-    assert sorted(baselined) == sorted(result.violations)
-    assert expired == []
-
-
-def test_baseline_expires_entries_for_fixed_findings():
-    result = _run(PROJ)
-    entries = collect(result.violations)
-    survivors = [v for v in result.violations if v.rule_id != "FAS014"]
-    new, baselined, expired = apply_baseline(survivors, entries)
-    assert new == []
-    assert len(baselined) == len(survivors)
-    assert [entry["rule"] for entry in expired] == ["FAS014"]
-
-
-def test_baseline_count_budget_flags_regressions():
-    result = _run(PROJ)
-    violation = result.violations[0]
-    entries = collect([violation])
-    new, baselined, _ = apply_baseline([violation, violation], entries)
-    assert baselined == [violation]  # the budgeted occurrence
-    assert new == [violation]  # the regression beyond the budget
-
-
-def test_fingerprint_ignores_line_numbers():
-    # Identity is (rule, path, message): two findings differing only by
-    # location collapse to one fingerprint, so line drift is baselined.
-    assert fingerprint("FAS014", "a.py", "m") == fingerprint("FAS014", "a.py", "m")
-    assert fingerprint("FAS014", "a.py", "m") != fingerprint("FAS014", "b.py", "m")
-
-
-def test_load_baseline_missing_file_is_empty():
-    assert load_baseline(FIXTURES / "no-such-baseline.json") == []
-
-
-def test_load_baseline_rejects_bad_documents(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text('{"version": 99, "findings": []}')
-    with pytest.raises(ValueError, match="unsupported baseline version"):
-        load_baseline(bad)
-    not_baseline = tmp_path / "other.json"
-    not_baseline.write_text('{"results": []}')
-    with pytest.raises(ValueError, match="not a fasea analyze baseline"):
-        load_baseline(not_baseline)
-
-
-def test_committed_baseline_is_valid():
-    entries = load_baseline(REPO_ROOT / "devtools" / "analyze-baseline.json")
-    for entry in entries:
-        assert entry["fingerprint"] == fingerprint(
-            str(entry["rule"]), str(entry["path"]), str(entry["message"])
-        )
-    assert BASELINE_VERSION == 1
-
-
-# ----------------------------------------------------------------------
-# Incremental cache
-# ----------------------------------------------------------------------
-def test_warm_cache_reanalyzes_zero_unchanged_files(tmp_path):
-    project = tmp_path / "proj"
-    shutil.copytree(PROJ, project)
-    cache = tmp_path / "cache.json"
-    cold = _run(project, cache_path=cache)
-    assert (cold.files_parsed, cold.files_cached) == (cold.files_total, 0)
-    warm = _run(project, cache_path=cache)
-    assert (warm.files_parsed, warm.files_cached) == (0, warm.files_total)
-    assert warm.violations == cold.violations
-
-
-def test_cache_invalidates_only_the_changed_file(tmp_path):
-    project = tmp_path / "proj"
-    shutil.copytree(PROJ, project)
-    cache = tmp_path / "cache.json"
-    cold = _run(project, cache_path=cache)
-    target = project / "src" / "miniapp" / "legacy.py"
-    target.write_text(target.read_text() + "\n# touched\n")
-    warm = _run(project, cache_path=cache)
-    assert warm.files_parsed == 1
-    assert warm.files_cached == cold.files_total - 1
-    assert warm.violations == cold.violations
-
-
-def test_corrupt_cache_falls_back_to_a_full_parse(tmp_path):
-    project = tmp_path / "proj"
-    shutil.copytree(PROJ, project)
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json")
-    result = _run(project, cache_path=cache)
-    assert result.files_parsed == result.files_total
-    assert len(result.violations) == len(ANALYZE_RULES)
 
 
 # ----------------------------------------------------------------------
@@ -232,55 +115,6 @@ def test_analyzer_findings_respect_line_pragmas(tmp_path):
         "FAS012",
         "FAS013",
     }
-
-
-# ----------------------------------------------------------------------
-# SARIF
-# ----------------------------------------------------------------------
-def _sarif_document(suppressed=None):
-    result = _run(PROJ)
-    summaries = {
-        rule_id: rule_cls.summary
-        for rule_id, rule_cls in registered_analyze_rules().items()
-    }
-    chosen = set(result.violations) if suppressed else None
-    text = render_sarif(result.violations, summaries, suppressed=chosen, base=PROJ)
-    return json.loads(text), result
-
-
-def test_sarif_document_has_the_2_1_0_shape():
-    document, result = _sarif_document()
-    assert document["$schema"] == SARIF_SCHEMA
-    assert document["version"] == SARIF_VERSION == "2.1.0"
-    (run,) = document["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == TOOL_NAME
-    assert [rule["id"] for rule in driver["rules"]] == list(ANALYZE_RULES)
-    assert run["columnKind"] == "utf16CodeUnits"
-    assert len(run["results"]) == len(result.violations)
-    for entry, violation in zip(run["results"], sorted(result.violations)):
-        assert entry["ruleId"] == violation.rule_id
-        assert driver["rules"][entry["ruleIndex"]]["id"] == violation.rule_id
-        assert entry["level"] == "error"
-        assert entry["message"]["text"] == violation.message
-        (location,) = entry["locations"]
-        physical = location["physicalLocation"]
-        assert physical["artifactLocation"]["uri"].startswith("src/miniapp/")
-        assert physical["region"]["startLine"] == violation.line
-        assert physical["region"]["startColumn"] == violation.col + 1
-
-
-def test_sarif_marks_baselined_findings_as_suppressed():
-    document, _ = _sarif_document(suppressed=True)
-    for entry in document["runs"][0]["results"]:
-        (suppression,) = entry["suppressions"]
-        assert suppression["kind"] == "external"
-
-
-def test_sarif_output_is_deterministic():
-    first, _ = _sarif_document()
-    second, _ = _sarif_document()
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +143,6 @@ def _analyze_args(root, *extra):
     return [
         "analyze",
         str(Path(root) / "src"),
-        "--no-baseline",
-        "--no-cache",
         "--roots",
         "",
         *extra,
@@ -326,11 +158,11 @@ def test_cli_analyze_exit_codes(capsys):
         assert rule_id in out
 
 
-def test_cli_analyze_status_line_reports_cache_counts(capsys):
+def test_cli_analyze_status_line_reports_files_and_findings(capsys):
     assert cli_main(_analyze_args(PROJ)) == 1
     err = capsys.readouterr().err
-    assert "8 files (8 parsed, 0 cached)" in err
-    assert "4 new" in err
+    assert err.startswith("fasea analyze: 8 files in ")
+    assert err.endswith("s; 4 finding(s)\n")
 
 
 def test_cli_analyze_json_format(capsys):
@@ -338,30 +170,6 @@ def test_cli_analyze_json_format(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 4
     assert set(payload["by_rule"]) == set(ANALYZE_RULES)
-
-
-def test_cli_analyze_sarif_format(capsys):
-    assert cli_main(_analyze_args(PROJ, "--format", "sarif")) == 1
-    document = json.loads(capsys.readouterr().out)
-    assert document["$schema"] == SARIF_SCHEMA
-
-
-def test_cli_analyze_update_baseline_then_gate(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    args = [
-        "analyze",
-        str(PROJ / "src"),
-        "--no-cache",
-        "--roots",
-        "",
-        "--baseline",
-        str(baseline),
-    ]
-    assert cli_main([*args, "--update-baseline"]) == 0
-    assert "baseline updated with 4 finding(s)" in capsys.readouterr().err
-    assert cli_main(args) == 0  # same findings, now absorbed
-    err = capsys.readouterr().err
-    assert "4 baselined, 0 new" in err
 
 
 def test_cli_analyze_unknown_rule_is_usage_error(capsys):
@@ -376,22 +184,29 @@ def test_cli_analyze_list_rules(capsys):
         assert rule_id in out
 
 
-def test_cli_lint_project_folds_in_analyzer_findings(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lint", "srcc"], "fasea lint: no such file or directory: srcc"),
+        (["analyze", "srcc"], "fasea analyze: no such file or directory: srcc"),
+        (["analyze", "src", "srcc"], "fasea analyze: no such file or directory: srcc"),
+        (["lint", "--jobs", "-2", str(PROJ / "src")], "fasea lint: jobs must be >= 0, got -2"),
+    ],
+    ids=["lint-missing", "analyze-missing", "analyze-one-missing", "lint-negative-jobs"],
+)
+def test_cli_usage_errors_exit_2(argv, message, capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
-    assert cli_main(["lint", "--project", "--format", "json", "src"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["count"] == 0
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.strip() == message
 
 
 # ----------------------------------------------------------------------
 # Self-check: the repository's own code is analyze-clean
 # ----------------------------------------------------------------------
-def test_repository_src_is_clean_modulo_committed_baseline():
+def test_repository_src_has_no_findings():
     result = run_project(
         [REPO_ROOT / "src"],
-        baseline_path=REPO_ROOT / "devtools" / "analyze-baseline.json",
-        cache_path=None,
         root_dirs=(REPO_ROOT / "tests", REPO_ROOT / "benchmarks"),
     )
-    assert result.ok, render_text(result.new_violations)
+    assert result.ok, render_text(result.violations)
     assert result.files_total > 100  # the whole tree was visited

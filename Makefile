@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint analyze equivalence typecheck check bench bench-perf bench-obs bench-baseline bench-compare results claims replicate examples clean
+.PHONY: install test lint analyze equivalence typecheck check bench bench-perf bench-obs results claims replicate examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -48,28 +48,6 @@ bench-perf:
 # (the CI obs-overhead job; bounds are constants in the harness).
 bench-obs:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_overhead
-
-# Perf-regression observatory (repro.obs.bench): run the deterministic
-# smoke suite and gate it against the committed baseline; exit 1 on any
-# regression (exact metrics tolerate no drift at all).
-bench-compare:
-	PYTHONPATH=src $(PYTHON) -m repro obs bench run \
-		--history results/bench/BENCH_history.jsonl --repeats 1 --horizon 120
-	PYTHONPATH=src $(PYTHON) -m repro obs bench compare \
-		benchmarks/BENCH_baseline.jsonl results/bench/BENCH_history.jsonl
-	PYTHONPATH=src $(PYTHON) -m repro obs bench report \
-		results/bench/BENCH_history.jsonl --out results/bench/bench_report.html
-
-# Refresh the committed baseline after an *intentional* metric change
-# (keeps only machine-independent exact metrics; wall time is not
-# comparable across machines).
-bench-baseline:
-	rm -f benchmarks/BENCH_baseline.jsonl
-	PYTHONPATH=src $(PYTHON) -c "\
-	from repro.obs.bench import append_history, run_smoke_benchmark; \
-	r = run_smoke_benchmark(repeats=1, horizon=120); \
-	r['metrics'].pop('wall_seconds'); r['directions'].pop('wall_seconds'); \
-	append_history([r], 'benchmarks/BENCH_baseline.jsonl')"
 
 results:
 	$(PYTHON) -m repro run all --out results --quiet

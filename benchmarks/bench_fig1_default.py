@@ -28,9 +28,7 @@ def test_policy_full_run(benchmark, name):
 
 def test_fig1_shape_ucb_beats_ts(benchmark):
     rewards = benchmark.pedantic(
-        lambda: run_suite(bench_config(), bench="fig1_default"),
-        rounds=1,
-        iterations=1,
+        lambda: run_suite(bench_config()), rounds=1, iterations=1
     )
     assert rewards["UCB"] > rewards["TS"]
     assert rewards["Exploit"] > rewards["TS"]

@@ -14,7 +14,6 @@ import pytest
 from repro.bandits import OptPolicy, make_policy
 from repro.datasets.damai import load_damai
 from repro.datasets.synthetic import SyntheticConfig, build_world
-from repro.obs.bench import maybe_record_bench_metrics
 from repro.simulation.runner import run_policy
 
 #: Horizon used by the per-figure "regenerate the series" benchmarks.
@@ -38,15 +37,8 @@ def bench_config(**overrides) -> SyntheticConfig:
     return SyntheticConfig(**base)
 
 
-def run_suite(config: SyntheticConfig, horizon: int = BENCH_HORIZON, bench=None):
-    """Play OPT + the five policies; return total rewards by name.
-
-    When ``bench`` is given and ``FASEA_BENCH_HISTORY`` points at a
-    history file (see :mod:`repro.obs.bench`), the per-policy rewards
-    are stamped into it as ``exact`` metrics — re-running the suite in
-    CI then feeds the ``fasea obs bench compare`` regression gate for
-    free.
-    """
+def run_suite(config: SyntheticConfig, horizon: int = BENCH_HORIZON):
+    """Play OPT + the five policies; return total rewards by name."""
     world = build_world(config)
     rewards = {}
     opt = run_policy(OptPolicy(world.theta), world, horizon=horizon, run_seed=0)
@@ -55,14 +47,6 @@ def run_suite(config: SyntheticConfig, horizon: int = BENCH_HORIZON, bench=None)
         policy = make_policy(name, dim=config.dim, seed=1)
         history = run_policy(policy, world, horizon=horizon, run_seed=0)
         rewards[name] = history.total_reward
-    if bench is not None:
-        metrics = {
-            f"{name.lower()}_total_reward": float(value)
-            for name, value in rewards.items()
-        }
-        maybe_record_bench_metrics(
-            bench, metrics, {name: "exact" for name in metrics}
-        )
     return rewards
 
 

@@ -19,10 +19,10 @@ Sinks: ``metrics.json`` / ``trace.jsonl`` next to each run
 (:func:`repro.io.runstore.persist_run_telemetry`), the crash-safe
 streaming sink (:class:`StreamingSink`), Prometheus text exposition
 (:func:`to_prometheus_text`), and the ``fasea obs
-summary|trace|diff|tail|profile|bench`` CLI verbs
+summary|trace|diff|tail|health|top|profile|replay|ope`` CLI verbs
 (:mod:`repro.obs.cli`).  The deterministic sampling profiler lives in
-:mod:`repro.obs.profile`; the perf-regression observatory in
-:mod:`repro.obs.bench`.
+:mod:`repro.obs.profile`; the bench history lives in
+``perfbench/``.
 """
 
 from repro.obs.console import Console, color_allowed

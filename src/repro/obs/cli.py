@@ -34,11 +34,6 @@ Verbs over the artefacts written by
     table, or emit flamegraph.pl-compatible folded stacks
     (``--folded``); rebuilds the profile from ``trace.jsonl`` when no
     ``profile.json`` was written.
-``bench run|compare|report``
-    The perf-regression observatory: run the deterministic smoke
-    benchmark into a stamped ``BENCH_history.jsonl``, gate a candidate
-    history against a baseline with bootstrap CIs (exit 1 on
-    regression), and render the static HTML trend dashboard.
 ``replay``
     Re-execute a recorded run from its ``decisions.jsonl`` and assert
     the replay is bit-identical; ``--until`` time-travels, ``--diff``
@@ -56,6 +51,7 @@ so ``--quiet`` and ``NO_COLOR`` behave uniformly.
 from __future__ import annotations
 
 import argparse
+import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -244,6 +240,8 @@ def diff_snapshots(
     tagged with a seconds unit or named ``*_seconds``): those are never
     reproducible and would drown real drift.
     """
+    if not tolerance >= 0:
+        raise ConfigurationError(f"--tolerance must be >= 0, got {tolerance}")
     base = _flatten(baseline)
     cand = _flatten(candidate)
     lines: List[str] = []
@@ -433,59 +431,6 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
     profile.add_argument("--quiet", action="store_true", help=argparse.SUPPRESS)
 
-    bench = verbs.add_parser(
-        "bench", help="perf-regression observatory (history/compare/report)"
-    )
-    bench.add_argument("--quiet", action="store_true", help=argparse.SUPPRESS)
-    bench_verbs = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_verbs.add_parser(
-        "run", help="run the deterministic smoke benchmark into a history"
-    )
-    bench_run.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="history file to append the stamped record to",
-    )
-    bench_run.add_argument(
-        "--repeats", type=int, default=3, help="wall-clock best-of repeats"
-    )
-    bench_run.add_argument(
-        "--horizon", type=int, default=200, help="rounds per smoke run"
-    )
-    bench_run.add_argument("--quiet", action="store_true", help=argparse.SUPPRESS)
-
-    bench_compare = bench_verbs.add_parser(
-        "compare", help="gate a candidate history against a baseline"
-    )
-    bench_compare.add_argument("baseline", help="baseline BENCH_history.jsonl")
-    bench_compare.add_argument(
-        "candidate", help="candidate BENCH_history.jsonl"
-    )
-    bench_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=0.05,
-        help="relative tolerance floor for noisy (non-exact) metrics",
-    )
-    bench_compare.add_argument(
-        "--bench", default=None, help="only compare records of this bench"
-    )
-    bench_compare.add_argument(
-        "--quiet", action="store_true", help=argparse.SUPPRESS
-    )
-
-    bench_report = bench_verbs.add_parser(
-        "report", help="render the history as a static HTML trend page"
-    )
-    bench_report.add_argument("history", help="BENCH_history.jsonl to render")
-    bench_report.add_argument(
-        "--out", default="bench_report.html", help="output HTML file"
-    )
-    bench_report.add_argument(
-        "--quiet", action="store_true", help=argparse.SUPPRESS
-    )
-
     replay = verbs.add_parser(
         "replay",
         help="re-execute a recorded run and assert bit-identical decisions",
@@ -566,8 +511,6 @@ def run_obs(args: argparse.Namespace, console: Optional[Console] = None) -> int:
             return _top(args, console)
         if args.obs_command == "profile":
             return _profile(args, console)
-        if args.obs_command == "bench":
-            return _bench(args, console)
         if args.obs_command == "replay":
             return _replay(args, console)
         if args.obs_command == "ope":
@@ -609,7 +552,21 @@ def _summary(args: argparse.Namespace, console: Console) -> int:
     return 0
 
 
+def _check_limit(limit: int) -> None:
+    if limit < 1:
+        raise ConfigurationError(f"--limit must be >= 1, got {limit}")
+
+
+def _check_interval(interval: float) -> None:
+    """Reject a poll interval ``time.sleep`` cannot honour."""
+    if not (math.isfinite(interval) and interval >= 0):
+        raise ConfigurationError(
+            f"--interval must be a finite number >= 0, got {interval}"
+        )
+
+
 def _trace(args: argparse.Namespace, console: Console) -> int:
+    _check_limit(args.limit)
     path = _resolve_trace_path(args.target)
     records = read_trace_jsonl(path)
     console.info(f"trace: {path} ({len(records)} records)")
@@ -645,6 +602,7 @@ def _diff(args: argparse.Namespace, console: Console) -> int:
 def _tail(args: argparse.Namespace, console: Console) -> int:
     from repro.obs.stream import run_tail
 
+    _check_interval(args.interval)
     max_updates = 1 if args.once else args.max_updates
     return run_tail(
         args.target, console, interval=args.interval, max_updates=max_updates
@@ -684,6 +642,7 @@ def _health(args: argparse.Namespace, console: Console) -> int:
 def _top(args: argparse.Namespace, console: Console) -> int:
     from repro.obs.dashboard import run_top
 
+    _check_interval(args.interval)
     max_updates = 1 if args.once else args.max_updates
     return run_top(
         args.target, console, interval=args.interval, max_updates=max_updates
@@ -699,10 +658,10 @@ def _profile(args: argparse.Namespace, console: Console) -> int:
         for line in profile.folded_lines():
             console.data(line)
         return 0
+    _check_limit(args.limit)
     rows = profile.table_rows()
     total = len(rows)
-    if args.limit is not None and total > args.limit:
-        rows = rows[: args.limit]
+    rows = rows[: args.limit]
     console.info(
         f"profile: {args.target} ({total} stack(s), "
         f"{profile.total_ns / 1e6:.3f}ms sampled self time)"
@@ -716,62 +675,6 @@ def _profile(args: argparse.Namespace, console: Console) -> int:
     if total > len(rows):
         console.info(f"... {total - len(rows)} colder stack(s) hidden ...")
     return 0
-
-
-def _bench(args: argparse.Namespace, console: Console) -> int:
-    from repro.experiments.reporting import format_table
-    from repro.obs.bench import (
-        append_history,
-        compare_histories,
-        comparison_table_rows,
-        has_regression,
-        load_history,
-        run_smoke_benchmark,
-        write_html_report,
-    )
-
-    if args.bench_command == "run":
-        record = run_smoke_benchmark(
-            repeats=args.repeats, horizon=args.horizon
-        )
-        path = append_history([record], args.history)
-        rows = [
-            [name, f"{value:.6g}", record["directions"][name]]
-            for name, value in sorted(record["metrics"].items())
-        ]
-        console.result(format_table(["metric", "value", "direction"], rows))
-        console.info(
-            f"recorded bench 'smoke' (git {record['git_rev']}) into {path}"
-        )
-        return 0
-    if args.bench_command == "compare":
-        baseline = load_history(args.baseline, bench=args.bench)
-        candidate = load_history(args.candidate, bench=args.bench)
-        rows = compare_histories(
-            baseline, candidate, threshold=args.threshold
-        )
-        console.result(
-            format_table(
-                ["bench", "metric", "dir", "baseline", "candidate", "delta",
-                 "status"],
-                comparison_table_rows(rows),
-            )
-        )
-        regressions = [row for row in rows if row.status == "regression"]
-        if has_regression(rows):
-            console.error(
-                f"{len(regressions)} metric(s) regressed vs {args.baseline}"
-            )
-            return 1
-        console.info("no regressions")
-        return 0
-    if args.bench_command == "report":
-        records = load_history(args.history)
-        path = write_html_report(records, args.out)
-        console.info(f"bench report ({len(records)} record(s)) in {path}")
-        return 0
-    console.error(f"fasea obs bench: unknown verb {args.bench_command!r}")
-    return 2
 
 
 def _replay(args: argparse.Namespace, console: Console) -> int:

@@ -11,8 +11,7 @@ Two consumption surfaces over the learning-health artefacts
     ``metrics.json`` snapshot (:func:`repro.obs.health.
     events_from_snapshot`) — same detectors, same output.
     ``--format json`` emits the machine-readable document; ``--html``
-    writes a single-file inline-SVG report (reusing the bench
-    observatory's sparkline helper — no plotting dependency).
+    writes a single-file inline-SVG report (no plotting dependency).
 
 ``obs top <dir>``
     A curses-free live dashboard for a running (or finished) run: poll
@@ -261,6 +260,34 @@ def render_health_text(
     return "\n\n".join(sections)
 
 
+def _svg_sparkline(
+    values: Sequence[float], width: int = 520, height: int = 96
+) -> str:
+    """A single-series polyline SVG; degenerate series render flat."""
+    pad = 8
+    lo, hi = min(values), max(values)
+    span = (hi - lo) or 1.0
+    n = max(len(values) - 1, 1)
+    points = " ".join(
+        f"{pad + (width - 2 * pad) * i / n:.1f},"
+        f"{height - pad - (height - 2 * pad) * (v - lo) / span:.1f}"
+        for i, v in enumerate(values)
+    )
+    circles = "".join(
+        f'<circle cx="{pad + (width - 2 * pad) * i / n:.1f}" '
+        f'cy="{height - pad - (height - 2 * pad) * (v - lo) / span:.1f}" '
+        f'r="2.5" fill="#1f77b4"/>'
+        for i, v in enumerate(values)
+    )
+    return (
+        f'<svg width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" role="img">'
+        f'<rect width="{width}" height="{height}" fill="#fafafa"/>'
+        f'<polyline points="{points}" fill="none" stroke="#1f77b4" '
+        f'stroke-width="1.5"/>{circles}</svg>'
+    )
+
+
 def render_health_html(
     payload: Dict[str, Any],
     alerts: Sequence[Dict[str, Any]],
@@ -268,8 +295,6 @@ def render_health_html(
 ) -> str:
     """A single-file inline-SVG health report (no plotting dependency)."""
     from html import escape
-
-    from repro.obs.bench import _svg_sparkline
 
     summary = payload.get("summary", {})
     parts: List[str] = [

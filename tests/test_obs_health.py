@@ -13,9 +13,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.bandits import OptPolicy, UcbPolicy
+from repro.bandits import OptPolicy, UcbPolicy, make_policy
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.exceptions import ConfigurationError, SchemaError
+from repro.obs.alerts import DEFAULT_ALERT_RULES, AlertBuffer, AlertEngine
 from repro.obs.core import NULL_OBS, Instrumentation
 from repro.obs.health import (
     CAPACITY_CLIFF_DETECTOR,
@@ -195,6 +196,43 @@ def test_monitoring_is_deterministic_across_repeat_runs(tiny_world, monitored_ru
     again.health_monitor = HealthMonitor()
     run_policy(OptPolicy(tiny_world.theta), tiny_world, run_seed=0, obs=again)
     assert again.health_monitor.events == obs.health_monitor.events
+
+
+def test_smoke_world_health_and_alert_counts_are_pinned():
+    """Detector math and rule evaluation on a learning run, pinned exactly.
+
+    A drifted detector default (e.g. the Page-Hinkley threshold) moves
+    these counts while every reward stays put, so no reward gate sees it.
+    """
+    world = build_world(
+        SyntheticConfig(
+            num_events=20,
+            horizon=120,
+            dim=8,
+            capacity_mean=12.0,
+            capacity_std=4.0,
+            conflict_ratio=0.25,
+            seed=0,
+        )
+    )
+    obs = Instrumentation()
+    obs.health_monitor = HealthMonitor()
+    alerts = AlertBuffer()
+    obs.alert_engine = AlertEngine(DEFAULT_ALERT_RULES, alerts)
+    monitored = run_policy(make_policy("UCB", dim=8, seed=1), world, run_seed=0, obs=obs)
+    plain = run_policy(make_policy("UCB", dim=8, seed=1), world, run_seed=0)
+
+    events = obs.health_monitor.events
+    assert len(events) == 2
+    assert [(e["detector"], e["round"]) for e in events] == [
+        (CAPACITY_CLIFF_DETECTOR, 41),
+        (EWMA_BAND_DETECTOR, 120),
+    ]
+    assert len(alerts.records) == 1
+    assert (alerts.records[0]["rule"], alerts.records[0]["round"]) == ("capacity-exhaustion", 41)
+    assert monitored.total_reward == 143.0
+    np.testing.assert_array_equal(plain.rewards, monitored.rewards)
+    np.testing.assert_array_equal(plain.arranged, monitored.arranged)
 
 
 # ----------------------------------------------------------------------

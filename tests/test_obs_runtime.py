@@ -252,3 +252,22 @@ def test_cli_diff_flags_drift(run_dir, tmp_path, capsys):
     assert "! counter:policy.UCB.rounds" in captured.out
     assert "+ counter:brand.new" in captured.out
     assert "drifted" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trace", "{run}", "--limit", "-1"], "--limit must be >= 1"),
+        (["profile", "{run}", "--limit", "-1"], "--limit must be >= 1"),
+        (["diff", "{run}", "{run}", "--tolerance", "-1"], "--tolerance must be >= 0"),
+        (["tail", "{run}", "--interval", "-1", "--max-updates", "2"], "--interval"),
+        (["top", "{run}", "--interval", "-1", "--max-updates", "2"], "--interval"),
+    ],
+    ids=["trace-limit", "profile-limit", "diff-tolerance", "tail-interval", "top-interval"],
+)
+def test_cli_nonsense_numbers_are_usage_errors(run_dir, capsys, argv, message):
+    argv = [arg.format(run=run_dir) for arg in argv]
+    assert cli_main(["obs", *argv]) == 2
+    captured = capsys.readouterr()
+    assert f"fasea obs: {message}" in captured.err
+    assert "Traceback" not in captured.err

@@ -5,7 +5,8 @@ import pytest
 from benchmarks.conftest import bench_config, run_suite
 from repro.bandits import UcbPolicy
 from repro.datasets.synthetic import build_world
-from repro.metrics.resources import time_policy_rounds
+from repro.obs.core import NULL_OBS
+from repro.simulation.runner import run_policy
 
 
 @pytest.mark.parametrize("num_events", [20, 100, 200])
@@ -14,9 +15,8 @@ def test_ucb_round_cost_vs_num_events(benchmark, num_events):
     world = build_world(config)
 
     def rounds():
-        return time_policy_rounds(
-            UcbPolicy(dim=config.dim), world, rounds=50, run_seed=0
-        )
+        policy = UcbPolicy(dim=config.dim)
+        return run_policy(policy, world, horizon=50, obs=NULL_OBS).avg_round_time
 
     avg = benchmark.pedantic(rounds, rounds=2, iterations=1)
     assert avg > 0

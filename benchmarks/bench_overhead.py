@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import bench_config
+from repro.bandits.base import RoundView
 from repro.bandits.ucb import UcbPolicy
 from repro.datasets.synthetic import SyntheticWorld, build_world
 from repro.io.checkpoint import CellCheckpointSpec
@@ -40,7 +41,7 @@ from repro.obs.health import HealthMonitor
 from repro.obs.profile import ProfileConfig
 from repro.obs.stream import StreamingSink
 from repro.oracle.greedy import oracle_greedy
-from repro.simulation.environment import FaseaEnvironment
+from repro.simulation.environment import RoundStream
 from repro.simulation.history import History
 from repro.simulation.runner import run_policy
 
@@ -89,17 +90,18 @@ def frozen_fixture() -> Tuple[UcbPolicy, list]:
     """
     config = bench_config(horizon=FIXTURE_HORIZON)
     policy = UcbPolicy(dim=config.dim)
-    env = FaseaEnvironment(build_world(config), run_seed=0)
-    for _ in range(WARMUP_ROUNDS):
-        view = env.begin_round()
-        arrangement = policy.select(view)
-        rewards, _ = env.commit(arrangement)
-        policy.observe(view, arrangement, rewards)
+    stream = RoundStream(build_world(config), run_seed=0)
+    platform = stream.make_platform()
     views = []
-    for _ in range(FROZEN_VIEWS):
-        view = env.begin_round()
-        views.append(view)
-        env.commit(policy.select(view))
+    for t in range(1, WARMUP_ROUNDS + FROZEN_VIEWS + 1):
+        user, contexts, accepts = stream.reveal(t)
+        view = RoundView(t, user, contexts, platform.store.remaining_capacities, platform.conflicts)
+        arrangement = policy.select(view)
+        platform.commit(user, arrangement, feedback=lambda v: bool(accepts[v]))
+        if t <= WARMUP_ROUNDS:
+            policy.observe(view, arrangement, [float(accepts[v]) for v in arrangement])
+        else:
+            views.append(view)
     for view in views:
         if _baseline_select(policy, view) != policy.select(view):
             raise AssertionError("pre-obs and shipped selects diverged")

@@ -43,7 +43,6 @@ from repro.ebsn import (
 from repro.metrics import kendall_tau, summarize
 from repro.oracle import exact_arrangement, oracle_greedy, random_arrangement
 from repro.simulation import (
-    FaseaEnvironment,
     History,
     build_basic_world,
     default_checkpoints,
@@ -58,7 +57,6 @@ __all__ = [
     "Event",
     "EventStore",
     "ExploitPolicy",
-    "FaseaEnvironment",
     "History",
     "LinearModel",
     "OptPolicy",

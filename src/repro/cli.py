@@ -886,9 +886,14 @@ def _export_damai(args: argparse.Namespace) -> int:
 
 
 def _claims(args: argparse.Namespace) -> int:
+    from repro.exceptions import ConfigurationError
     from repro.experiments.claims import run_claims
 
-    results = run_claims(only=args.ids or None)
+    try:
+        results = run_claims(only=args.ids or None)
+    except ConfigurationError as error:
+        print(f"fasea claims: {error}", file=sys.stderr)
+        return 2
     failures = 0
     for result in results:
         verdict = "REPRODUCED" if result.holds else "NOT REPRODUCED"

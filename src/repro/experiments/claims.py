@@ -16,10 +16,11 @@ from typing import Callable, List, Optional, Tuple
 from repro.bandits import OptPolicy, make_policy
 from repro.datasets.damai import load_damai
 from repro.datasets.synthetic import SyntheticConfig, build_world
+from repro.exceptions import ConfigurationError
 from repro.experiments.config import compare_policies
 from repro.mab import BetaThompsonSampling, Ucb1, run_mab
 from repro.mab.arms import random_arms
-from repro.metrics.resources import time_policies_rounds
+from repro.obs.core import NULL_OBS
 from repro.simulation.fleet import run_policy_fleet
 from repro.simulation.realdata import run_real_policy
 
@@ -105,12 +106,13 @@ def check_efficiency_ordering(rounds: int = 150, repeats: int = 3) -> Tuple[bool
     """Claim 3: all algorithms are fast; eGreedy/Exploit fastest of the
     learners, Random fastest overall.
 
-    Each policy is timed ``repeats`` times (fresh policy and streams)
-    and the minimum is kept — after the batched-Woodbury/top-k kernel
-    work the per-round margins are a few tens of microseconds, so a
-    single noisy pass is not a reliable ranking.  Each repeat steps the
-    five policies in lockstep, round by round, so a slow stretch of the
-    machine lands on every policy instead of on one policy's
+    Each policy is timed ``repeats`` times (fresh policies, one
+    uninstrumented fleet per repeat) and the minimum of its
+    ``avg_round_time`` is kept — after the batched-Woodbury/top-k
+    kernel work the per-round margins are a few tens of microseconds,
+    so a single noisy pass is not a reliable ranking.  The fleet steps
+    the five policies in lockstep, round by round, so a slow stretch of
+    the machine lands on every policy instead of on one policy's
     back-to-back rounds.
     """
     config = SyntheticConfig.scaled_default(seed=0)
@@ -118,10 +120,10 @@ def check_efficiency_ordering(rounds: int = 150, repeats: int = 3) -> Tuple[bool
     names = ("UCB", "TS", "eGreedy", "Exploit", "Random")
     times = dict.fromkeys(names, float("inf"))
     for _ in range(max(repeats, 1)):
-        policies = [make_policy(name, dim=config.dim, seed=1) for name in names]
-        elapsed = time_policies_rounds(policies, world, rounds=rounds)
-        for name, seconds in zip(names, elapsed):
-            times[name] = min(times[name], seconds)
+        policies = {name: make_policy(name, dim=config.dim, seed=1) for name in names}
+        runs = run_policy_fleet(policies, world, horizon=rounds, obs=NULL_OBS)
+        for name, run in runs.items():
+            times[name] = min(times[name], run.avg_round_time)
     holds = (
         times["Random"] < times["UCB"]
         and times["Exploit"] < times["UCB"]
@@ -180,7 +182,17 @@ CLAIMS: List[Tuple[str, str, Callable[[], Tuple[bool, str]]]] = [
 
 
 def run_claims(only: Optional[List[str]] = None) -> List[ClaimResult]:
-    """Run all (or a subset of) claims and collect verdicts."""
+    """Run all (or a subset of) claims and collect verdicts.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` naming any id
+    in ``only`` that is not a registered claim.
+    """
+    known = [claim_id for claim_id, _, _ in CLAIMS]
+    unknown = sorted(set(only or ()) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown claim id(s) {', '.join(unknown)}; known: {', '.join(known)}"
+        )
     results: List[ClaimResult] = []
     for claim_id, statement, checker in CLAIMS:
         if only and claim_id not in only:

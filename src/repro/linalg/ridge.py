@@ -56,12 +56,7 @@ class RidgeState:
         self.dim = dim
         self.lam = float(lam)
         self.refresh_every = refresh_every
-        self._y: FloatArray = lam * np.eye(dim)
-        self._b: FloatArray = np.zeros(dim)
-        self._y_inv: Optional[FloatArray] = np.eye(dim) / lam if refresh_every else None
-        self._theta: Optional[FloatArray] = np.zeros(dim)
-        self._updates_since_refresh = 0
-        self.num_observations = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     # Properties
@@ -328,10 +323,17 @@ class RidgeState:
         Restores the SPD prior ``Y = lam * I`` with its exact inverse
         and re-caches ``theta_hat = 0``.
         """
-        self._y = self.lam * np.eye(self.dim)
-        self._b = np.zeros(self.dim)
-        self._y_inv = np.eye(self.dim) / self.lam if self.refresh_every else None
-        self._theta = np.zeros(self.dim)
+        # Scaled in place: the d x d temporaries of ``lam * np.eye(d)``
+        # and ``np.eye(d) / lam``, freed at once, made glibc trim and
+        # re-fault the heap on every suite build at large d.
+        self._y: FloatArray = np.eye(self.dim)
+        self._y *= self.lam
+        self._b: FloatArray = np.zeros(self.dim)
+        self._y_inv: Optional[FloatArray] = None
+        if self.refresh_every:
+            self._y_inv = np.eye(self.dim)
+            self._y_inv /= self.lam
+        self._theta: Optional[FloatArray] = np.zeros(self.dim)
         self._updates_since_refresh = 0
         self.num_observations = 0
 

@@ -1,9 +1,9 @@
 """Evaluation metrics: Kendall-tau, regret accounting, run summaries,
-and the time/memory measurements used by Tables 5-6."""
+and the memory measurement used by Tables 5-6."""
 
 from repro.metrics.kendall import kendall_tau
 from repro.metrics.regret import regret_series, regret_ratio_series
-from repro.metrics.resources import measure_memory, time_policy_rounds
+from repro.metrics.resources import measure_memory
 from repro.metrics.summary import RunSummary, summarize
 
 __all__ = [
@@ -13,5 +13,4 @@ __all__ = [
     "regret_ratio_series",
     "regret_series",
     "summarize",
-    "time_policy_rounds",
 ]

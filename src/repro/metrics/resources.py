@@ -4,21 +4,18 @@ The paper reports the average running time of each round and the
 memory consumption of each algorithm as |V| and d grow.  Absolute
 numbers are implementation- and machine-specific (theirs is C++ on an
 i7); what the tables assert — the *ordering* of the algorithms and the
-growth trends — is measured here with ``time.perf_counter`` and
-``tracemalloc``.
+growth trends — is measured here with the round loop's own
+select + observe timer and ``tracemalloc``.
 """
 
 from __future__ import annotations
 
-import time
 import tracemalloc
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Tuple, TypeVar
 
 from repro.bandits.base import Policy
 from repro.datasets.synthetic import SyntheticWorld
-from repro.exceptions import ConfigurationError
-from repro.obs.core import Timer, current
-from repro.simulation.environment import FaseaEnvironment
+from repro.obs.core import NULL_OBS, current
 
 #: Emit-site metric name (FAS016).
 PEAK_TRACED_BYTES_METRIC = "metrics.peak_traced_bytes"
@@ -26,68 +23,27 @@ PEAK_TRACED_BYTES_METRIC = "metrics.peak_traced_bytes"
 T = TypeVar("T")
 
 
-def time_policy_rounds(
-    policy: Policy, world: SyntheticWorld, rounds: int, run_seed: int = 0
-) -> float:
-    """Average per-round policy time (select + observe) over ``rounds``.
-
-    Environment costs (context generation, feedback draws) are excluded
-    — the paper times the algorithms, not the workload generator.
-
-    Durations accumulate in a fresh :class:`repro.obs.core.Timer` —
-    the same float additions, in the same order, as the plain
-    ``elapsed +=`` accumulator it replaces, so Tables 5/6 numbers are
-    bit-identical.  When a process-local registry is active the timer's
-    histogram is merged into ``metrics.round_seconds.<policy>`` so
-    resource studies appear in run telemetry.
-    """
-    return time_policies_rounds([policy], world, rounds, run_seed=run_seed)[0]
-
-
-def time_policies_rounds(
-    policies: Sequence[Policy], world: SyntheticWorld, rounds: int, run_seed: int = 0
-) -> List[float]:
-    """:func:`time_policy_rounds` for several policies in lockstep.
-
-    Each policy plays its own environment (fresh streams, as if timed
-    alone), but round ``t`` of every policy runs before round ``t + 1``
-    of any, so a slow stretch of the machine lands on all of them
-    alike.  Orderings measured this way stay stable on a noisy host
-    where back-to-back timings swap policies a few microseconds apart.
-    """
-    if rounds < 1:
-        raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-    envs = [FaseaEnvironment(world, run_seed=run_seed) for _ in policies]
-    timers = [Timer(f"metrics.round_seconds.{policy.name}") for policy in policies]
-    for _ in range(rounds):
-        for policy, env, timer in zip(policies, envs, timers):
-            view = env.begin_round()
-            start = time.perf_counter()
-            arrangement = policy.select(view)
-            timer.observe(time.perf_counter() - start)
-            rewards, _ = env.commit(arrangement)
-            start = time.perf_counter()
-            policy.observe(view, arrangement, rewards)
-            timer.observe(time.perf_counter() - start)
-    obs = current()
-    if obs.enabled:
-        for timer in timers:
-            obs.timer(timer.name).histogram.merge(timer.histogram)
-    return [timer.total / rounds for timer in timers]
-
-
 def measure_memory(fn: Callable[[], T]) -> Tuple[T, int]:
     """Run ``fn`` under ``tracemalloc``; return (result, peak bytes).
 
-    The peak is also published to the process-local registry (gauge
-    ``metrics.peak_traced_bytes``) when one is active.
+    Under an outer trace (``PYTHONTRACEMALLOC``, ``-X tracemalloc`` or
+    a nested call) the peak is reset, measured above the traced size at
+    entry, and tracing is left on.  The peak is also published to the
+    process-local registry (gauge ``metrics.peak_traced_bytes``) when
+    one is active.
     """
-    tracemalloc.start()
-    try:
+    if tracemalloc.is_tracing():
+        tracemalloc.reset_peak()
+        baseline, _ = tracemalloc.get_traced_memory()
         result = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    else:
+        tracemalloc.start()
+        try:
+            result = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     obs = current()
     if obs.enabled:
         obs.gauge(PEAK_TRACED_BYTES_METRIC).set(peak)
@@ -102,14 +58,23 @@ def measure_policy_memory(
 ) -> Tuple[float, int]:
     """(avg round time, peak traced bytes) for a freshly built policy.
 
+    Both come from :func:`~repro.simulation.runner.run_policy`, the
+    round loop: the time is the run's ``avg_round_time`` (select +
+    observe per round; the context draw and the commit are outside it).
     Time and memory come from two separate runs: ``tracemalloc`` slows
     allocation-heavy code by an order of magnitude, so timing under it
-    would distort exactly the comparison Tables 5-6 make.
+    would distort exactly the comparison Tables 5-6 make.  Both runs
+    are uninstrumented, so no cell depends on ``--obs``.
     """
-    avg_time = time_policy_rounds(policy_factory(), world, rounds, run_seed=run_seed)
-    _, peak = measure_memory(
-        lambda: time_policy_rounds(
-            policy_factory(), world, rounds, run_seed=run_seed
+    # Import cycle: the round loop imports repro.metrics.kendall.
+    from repro.simulation.runner import run_policy
+
+    def play() -> float:
+        history = run_policy(
+            policy_factory(), world, horizon=rounds, run_seed=run_seed, obs=NULL_OBS
         )
-    )
+        return history.avg_round_time
+
+    avg_time = play()
+    _, peak = measure_memory(play)
     return avg_time, peak

@@ -1,8 +1,8 @@
-"""The FASEA simulation environment and its shared input stream.
+"""The FASEA simulation input stream.
 
-Each round the environment reveals what Definition 3 says is revealed
-— the arriving user's capacity and one context vector per event — and,
-after the policy commits an arrangement, draws the user's feedback:
+Each round the stream reveals what Definition 3 says is revealed
+— the arriving user's capacity and one context vector per event —
+together with the user's latent feedback, which the commit reads:
 event ``v`` is accepted with probability ``clip(x_{t,v}^T theta, 0, 1)``.
 
 Common random numbers: the per-round draws happen in a fixed order
@@ -14,24 +14,20 @@ threshold falls below its acceptance probability, which depends only on
 the context — not on which policy asked.
 
 :class:`RoundStream` is the one place those streams are constructed
-and drawn; :class:`FaseaEnvironment`, the round loop, the trace
-recorder and off-policy evaluation all read their rounds from it.
+and drawn; the round loop, the trace recorder and off-policy
+evaluation all read their rounds from it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from repro.bandits.base import RoundView
 from repro.datasets.synthetic import SyntheticWorld
-from repro.ebsn.ledger import LedgerEntry
 from repro.ebsn.platform import Platform
 from repro.ebsn.users import User
-from repro.exceptions import ConfigurationError
 from repro.linalg.sampling import capture_rng_state, restore_rng_state
-from repro.obs.core import InstrumentationLike, current
 
 #: Emit-site metric names (FAS016).
 ENV_ROUNDS_METRIC = "env.rounds"
@@ -107,100 +103,3 @@ class RoundStream:
         restore_rng_state(self.context_rng, state["context_rng"])  # type: ignore[arg-type]
         restore_rng_state(self.feedback_rng, state["feedback_rng"])  # type: ignore[arg-type]
 
-
-class FaseaEnvironment:
-    """One run's worth of platform state and random streams.
-
-    ``obs`` (optional) attaches an instrumentation registry; it defaults
-    to the process-local one from :func:`repro.obs.core.current`, which
-    is the no-op :data:`~repro.obs.core.NULL_OBS` unless a caller opted
-    in — so the default environment pays one attribute read per round.
-    """
-
-    def __init__(
-        self,
-        world: SyntheticWorld,
-        run_seed: int = 0,
-        obs: Optional[InstrumentationLike] = None,
-    ) -> None:
-        self.platform = Platform(world.make_store(), world.conflicts)
-        self._obs = obs if obs is not None else current()
-        self._stream = RoundStream(world, run_seed)
-        self._pending: Optional[Tuple[RoundView, np.ndarray]] = None
-
-    @property
-    def num_events(self) -> int:
-        return len(self.platform.store)
-
-    @property
-    def time_step(self) -> int:
-        return self.platform.time_step
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Snapshot the dynamic run state at a round boundary.
-
-        Captures the exact positions of the three random streams, the
-        arrival stream's bookkeeping and the platform (clock, remaining
-        capacities, ledger).  The static world is *not* captured — a
-        resume rebuilds it from configuration, which is deterministic.
-        """
-        if self._pending is not None:
-            raise ConfigurationError(
-                "cannot checkpoint mid-round (begin_round without commit)"
-            )
-        state = self._stream.state_dict()
-        for key, value in self.platform.state_dict().items():
-            state[f"platform_{key}"] = value
-        return state
-
-    def restore_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot (bit-exact positions)."""
-        self._stream.restore_state(state)
-        self.platform.restore_state(
-            {
-                key[len("platform_") :]: value
-                for key, value in state.items()
-                if key.startswith("platform_")
-            }
-        )
-        self._pending = None
-
-    def begin_round(self) -> RoundView:
-        """Reveal the next user and context matrix (start of step ``t``)."""
-        if self._pending is not None:
-            raise ConfigurationError(
-                "begin_round called twice without an intervening commit"
-            )
-        if self._obs.enabled:
-            self._obs.counter(ENV_ROUNDS_METRIC).inc()
-        user, contexts, accepts = self._stream.reveal(self.platform.time_step + 1)
-        view = RoundView(
-            time_step=self.platform.time_step + 1,
-            user=user,
-            contexts=contexts,
-            remaining_capacities=self.platform.store.remaining_capacities,
-            conflicts=self.platform.conflicts,
-        )
-        self._pending = (view, accepts)
-        return view
-
-    def commit(self, arranged: Sequence[int]) -> Tuple[List[float], LedgerEntry]:
-        """Commit an arrangement; return the round's per-event rewards and entry."""
-        if self._pending is None:
-            raise ConfigurationError("commit called before begin_round")
-        view, accepts = self._pending
-        self._pending = None
-        arranged = list(arranged)
-        rewards = [1.0 if accepts[event_id] else 0.0 for event_id in arranged]
-        entry = self.platform.commit(
-            view.user, arranged, feedback=dict(zip(arranged, rewards)).__getitem__
-        )
-        obs = self._obs
-        if obs.enabled:
-            obs.counter(ENV_COMMITS_METRIC).inc()
-            obs.counter(ENV_ARRANGED_EVENTS_METRIC).inc(len(arranged))
-            obs.counter(ENV_ACCEPTED_EVENTS_METRIC).inc(len(entry.accepted))
-        return rewards, entry

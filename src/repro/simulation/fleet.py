@@ -22,7 +22,10 @@ policy reads the same common-random-numbers stream, a policy's history
 in a fleet is *bit-for-bit identical* to its run on its own with the
 same ``(world, run_seed)`` — ``tests/test_fleet.py`` asserts that, and
 ``tests/test_runner.py`` checks the loop against an independent
-:class:`~repro.simulation.environment.FaseaEnvironment` loop.
+reference loop on :class:`~repro.simulation.environment.RoundStream`
+and :class:`~repro.ebsn.platform.Platform`.  Each history's
+``avg_round_time`` (select + observe) is the per-round time Tables 5-6
+and claim C4 report.
 
 Telemetry, the span profiler, streaming flushes, the flight recorder
 and round checkpoints only observe: none touches an RNG stream, so
@@ -390,18 +393,18 @@ def play_fleet(
             remaining_capacities=platform.store.remaining_capacities,
             conflicts=platform.conflicts,
         )
-        # The commit phase's feedback: arrangements hold <= c_u events,
-        # so scalar lookups beat fancy-indexing round trips.
+        # The commit phase's feedback is a scalar lookup into the mask:
+        # arrangements hold <= c_u events, so that beats fancy-indexing
+        # round trips, and it builds no per-step list or dict (in the
+        # tracemalloc runs of Tables 5-6 each one costs a line-table scan).
         select_start = time.perf_counter()
         if sampled:
             with obs.span("select"):
                 arrangement = policy.select(view)
             select_end = time.perf_counter()
             with obs.span("commit"):
-                accepted_flags = [bool(accepts[event_id]) for event_id in arrangement]
-                decisions = dict(zip(arrangement, accepted_flags))
-                entry = platform.commit(user, arrangement, feedback=decisions.__getitem__)
-            reward_values = [1.0 if flag else 0.0 for flag in accepted_flags]
+                entry = platform.commit(user, arrangement, feedback=accepts.__getitem__)
+            reward_values = [1.0 if accepts[event_id] else 0.0 for event_id in arrangement]
             observe_start = time.perf_counter()
             with obs.span("observe"):
                 policy.observe(view, arrangement, reward_values)
@@ -409,10 +412,8 @@ def play_fleet(
         else:
             arrangement = policy.select(view)
             select_end = time.perf_counter()
-            accepted_flags = [bool(accepts[event_id]) for event_id in arrangement]
-            decisions = dict(zip(arrangement, accepted_flags))
-            entry = platform.commit(user, arrangement, feedback=decisions.__getitem__)
-            reward_values = [1.0 if flag else 0.0 for flag in accepted_flags]
+            entry = platform.commit(user, arrangement, feedback=accepts.__getitem__)
+            reward_values = [1.0 if accepts[event_id] else 0.0 for event_id in arrangement]
             observe_start = time.perf_counter()
             policy.observe(view, arrangement, reward_values)
             observe_end = time.perf_counter()

@@ -1,10 +1,11 @@
-"""The round runner: play one policy against one environment.
+"""The round runner: play one policy on one generated stream.
 
 ``run_policy`` drives the standard FASEA loop (lines 3-14 of
 Algorithms 1/3/4): reveal, select, commit, observe — for ``horizon``
-rounds, timing each round and optionally recording the Kendall rank
-correlation of the policy's event ranking against the truth at the
-paper's checkpoints (Figure 2).
+rounds, timing each policy step (select + observe, the per-round time
+of Tables 5-6) and optionally recording the Kendall rank correlation
+of the policy's event ranking against the truth at the paper's
+checkpoints (Figure 2).
 
 It is a fleet of one: the loop, its telemetry, profiler spans,
 streaming flushes, flight recording and round checkpoints are

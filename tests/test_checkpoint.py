@@ -1,7 +1,7 @@
 """repro.io.checkpoint: state capture primitives, caches, manifests.
 
 Unit tests of the crash-safe checkpoint layer: exact RNG/ridge/
-environment round trips, the atomic-write contract, the executor's
+stream + platform round trips, the atomic-write contract, the executor's
 unit-result cache and the checkpoint-directory manifest.  The
 end-to-end kill-and-resume proofs live in
 ``tests/test_checkpoint_resume.py``.
@@ -40,7 +40,7 @@ from repro.io.checkpoint import (
 from repro.linalg.ridge import RidgeState
 from repro.linalg.sampling import capture_rng_state, restore_rng_state
 from repro.parallel import PolicyRunCell, run_policy_run_cell
-from repro.simulation.environment import FaseaEnvironment
+from repro.simulation.environment import RoundStream
 
 
 def tiny_config(**overrides) -> SyntheticConfig:
@@ -135,83 +135,83 @@ def test_ridge_restore_names_both_shapes_on_mismatch():
 
 
 # ----------------------------------------------------------------------
-# Environment state round trip
+# Stream + platform state round trip
 # ----------------------------------------------------------------------
-def _play_rounds(env: FaseaEnvironment, rounds: int):
+def _play_rounds(stream: RoundStream, platform, rounds: int):
     """Arrange the first available event each round; return observables."""
     trail = []
     for _ in range(rounds):
-        view = env.begin_round()
-        arranged = []
-        for event_id in range(env.num_events):
-            if view.remaining_capacities[event_id] > 0:
-                arranged = [event_id]
-                break
-        rewards, entry = env.commit(arranged)
-        trail.append(
-            (view.user.user_id, view.contexts.tobytes(), tuple(rewards), entry.reward)
-        )
+        user, contexts, accepts = stream.reveal(platform.time_step + 1)
+        remaining = platform.store.remaining_capacities
+        arranged = [int(event_id) for event_id in np.flatnonzero(remaining > 0)[:1]]
+        rewards = tuple(1.0 if accepts[event_id] else 0.0 for event_id in arranged)
+        entry = platform.commit(user, arranged, feedback=lambda v: bool(accepts[v]))
+        trail.append((user.user_id, contexts.tobytes(), rewards, entry.reward))
     return trail
+
+
+def _run_state(stream: RoundStream, platform):
+    """What a round checkpoint saves of the run: stream, then platform."""
+    state = pack_state("stream.", stream.state_dict())
+    state.update(pack_state("plat.", platform.state_dict()))
+    return state
+
+
+def _restored(world, run_seed: int, state):
+    stream = RoundStream(world, run_seed=run_seed)
+    stream.restore_state(unpack_state("stream.", state))
+    platform = stream.make_platform()
+    platform.restore_state(unpack_state("plat.", state))
+    return stream, platform
 
 
 def test_environment_state_round_trip_is_bit_exact():
     world = build_world(tiny_config())
-    env = FaseaEnvironment(world, run_seed=5)
-    _play_rounds(env, 10)
-    state = env.state_dict()
-    expected = _play_rounds(env, 8)
+    stream = RoundStream(world, run_seed=5)
+    platform = stream.make_platform()
+    _play_rounds(stream, platform, 10)
+    state = _run_state(stream, platform)
+    expected = _play_rounds(stream, platform, 8)
 
-    resumed = FaseaEnvironment(world, run_seed=5)
-    resumed.restore_state(state)
-    assert _play_rounds(resumed, 8) == expected
-    assert resumed.time_step == env.time_step
-    assert list(resumed.platform.ledger) == list(env.platform.ledger)
+    resumed_stream, resumed = _restored(world, 5, state)
+    assert _play_rounds(resumed_stream, resumed, 8) == expected
+    assert resumed.time_step == platform.time_step
+    assert list(resumed.ledger) == list(platform.ledger)
 
 
 def test_environment_state_survives_npz(tmp_path):
     world = build_world(tiny_config())
-    env = FaseaEnvironment(world, run_seed=5)
-    _play_rounds(env, 6)
-    path = atomic_save_npz(tmp_path / "env.npz", pack_state("env.", env.state_dict()))
-    expected = _play_rounds(env, 5)
+    stream = RoundStream(world, run_seed=5)
+    platform = stream.make_platform()
+    _play_rounds(stream, platform, 6)
+    path = atomic_save_npz(tmp_path / "env.npz", _run_state(stream, platform))
+    expected = _play_rounds(stream, platform, 5)
     with np.load(path) as archive:
         stored = {name: archive[name].copy() for name in archive.files}
-    resumed = FaseaEnvironment(world, run_seed=5)
-    resumed.restore_state(unpack_state("env.", stored))
-    assert _play_rounds(resumed, 5) == expected
-
-
-def test_environment_refuses_mid_round_checkpoint():
-    env = FaseaEnvironment(build_world(tiny_config()), run_seed=0)
-    env.begin_round()
-    with pytest.raises(ConfigurationError, match="mid-round"):
-        env.state_dict()
+    assert _play_rounds(*_restored(world, 5, stored), 5) == expected
 
 
 def test_ledger_restore_rejects_corrupt_offsets():
     world = build_world(tiny_config())
-    env = FaseaEnvironment(world, run_seed=1)
-    _play_rounds(env, 4)
-    state = env.platform.state_dict()
-    bad = dict(state)
+    stream = RoundStream(world, run_seed=1)
+    platform = stream.make_platform()
+    _play_rounds(stream, platform, 4)
+    bad = dict(platform.state_dict())
     offsets = np.asarray(bad["ledger_arranged_offsets"]).copy()
     offsets[-1] += 3  # points past the flat array
     bad["ledger_arranged_offsets"] = offsets
-    resumed = FaseaEnvironment(world, run_seed=1)
     with pytest.raises(LedgerError):
-        resumed.platform.restore_state(bad)
+        stream.make_platform().restore_state(bad)
 
 
 def test_event_store_restore_rejects_out_of_range_capacity():
-    world = build_world(tiny_config())
-    env = FaseaEnvironment(world, run_seed=1)
-    state = env.state_dict()
-    remaining = np.asarray(state["platform_remaining"]).copy()
+    stream = RoundStream(build_world(tiny_config()), run_seed=1)
+    state = dict(stream.make_platform().state_dict())
+    remaining = np.asarray(state["remaining"]).copy()
     remaining[0] = remaining[0] + 1e9  # above initial capacity
-    state["platform_remaining"] = remaining
-    resumed = FaseaEnvironment(world, run_seed=1)
+    state["remaining"] = remaining
     with pytest.raises(ConfigurationError):
-        resumed.restore_state(state)
+        stream.make_platform().restore_state(state)
 
 
 # ----------------------------------------------------------------------

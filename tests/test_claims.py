@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.experiments.claims import (
     CLAIMS,
     check_efficiency_ordering,
@@ -63,3 +64,15 @@ def test_cli_claims_subcommand(capsys):
     out = capsys.readouterr().out
     assert "REPRODUCED" in out
     assert "1/1 claims reproduced" in out
+
+
+def test_cli_claims_rejects_unknown_ids(capsys):
+    """A mistyped id is a usage error, not a vacuous ``0/0`` pass."""
+    from repro.cli import main
+
+    assert main(["claims", "C2", "C9"]) == 2
+    captured = capsys.readouterr()
+    assert "C9" in captured.err
+    assert "claims reproduced" not in captured.out
+    with pytest.raises(ConfigurationError, match="C9"):
+        run_claims(only=["C9"])

@@ -1,95 +1,111 @@
-"""The FASEA environment: protocol, coupling, constraint enforcement."""
+"""The FASEA input stream on a platform: coupling, constraint enforcement."""
 
 import numpy as np
 import pytest
 
-from repro.bandits import OptPolicy, RandomPolicy
-from repro.exceptions import CapacityError, ConfigurationError, ConflictError
-from repro.simulation.environment import FaseaEnvironment
+from repro.bandits import OptPolicy, RandomPolicy, RoundView
+from repro.exceptions import ConflictError
+from repro.simulation.environment import RoundStream
 
 
-def test_round_protocol_must_alternate(small_world):
-    env = FaseaEnvironment(small_world, run_seed=0)
-    with pytest.raises(ConfigurationError):
-        env.commit([])
-    env.begin_round()
-    with pytest.raises(ConfigurationError):
-        env.begin_round()
+def _reveal(stream, platform, t):
+    """Round ``t``'s view on ``platform`` and its accept mask."""
+    user, contexts, accepts = stream.reveal(t)
+    view = RoundView(
+        time_step=t,
+        user=user,
+        contexts=contexts,
+        remaining_capacities=platform.store.remaining_capacities,
+        conflicts=platform.conflicts,
+    )
+    return view, accepts
+
+
+def _commit(platform, view, accepts, arrangement):
+    """Commit ``arrangement``; return its per-event rewards and ledger entry."""
+    rewards = [1.0 if accepts[event_id] else 0.0 for event_id in arrangement]
+    entry = platform.commit(view.user, arrangement, feedback=lambda v: bool(accepts[v]))
+    return rewards, entry
 
 
 def test_view_exposes_the_revealed_quantities(small_world, small_config):
-    env = FaseaEnvironment(small_world, run_seed=0)
-    view = env.begin_round()
-    assert view.time_step == 1
+    stream = RoundStream(small_world, run_seed=0)
+    view, accepts = _reveal(stream, stream.make_platform(), 1)
     assert view.contexts.shape == (small_config.num_events, small_config.dim)
     assert np.allclose(np.linalg.norm(view.contexts, axis=1), 1.0)
     assert 1 <= view.user.capacity <= 5
     assert np.allclose(view.remaining_capacities, small_world.capacities)
+    assert accepts.shape == (small_config.num_events,) and accepts.dtype == bool
 
 
 def test_common_random_numbers_across_policies(small_world):
     """Two runs with the same run_seed see identical users/contexts/coins."""
 
     def run_and_capture(policy):
-        env = FaseaEnvironment(small_world, run_seed=7)
+        stream = RoundStream(small_world, run_seed=7)
+        platform = stream.make_platform()
         captured = []
-        for _ in range(20):
-            view = env.begin_round()
-            arrangement = policy.select(view)
-            rewards, _ = env.commit(arrangement)
-            captured.append(
-                (view.user.capacity, view.contexts.copy(), tuple(arrangement))
-            )
+        for t in range(1, 21):
+            view, accepts = _reveal(stream, platform, t)
+            _commit(platform, view, accepts, policy.select(view))
+            captured.append((view.user.capacity, view.contexts.copy(), accepts.copy()))
         return captured
 
     first = run_and_capture(RandomPolicy(seed=0))
     second = run_and_capture(OptPolicy(small_world.theta))
-    for (cap_a, ctx_a, _), (cap_b, ctx_b, _) in zip(first, second):
+    for (cap_a, ctx_a, acc_a), (cap_b, ctx_b, acc_b) in zip(first, second):
         assert cap_a == cap_b
         assert np.allclose(ctx_a, ctx_b)
+        np.testing.assert_array_equal(acc_a, acc_b)
 
 
 def test_feedback_coins_are_shared_across_policies(small_world):
     """If two policies arrange the same event at step t, the outcome agrees."""
 
-    def outcomes(policy_seed):
-        env = FaseaEnvironment(small_world, run_seed=3)
+    def outcomes(policy):
+        stream = RoundStream(small_world, run_seed=3)
+        platform = stream.make_platform()
         results = {}
-        policy = OptPolicy(small_world.theta)  # deterministic arrangement
         for t in range(1, 16):
-            view = env.begin_round()
+            view, accepts = _reveal(stream, platform, t)
             arrangement = policy.select(view)
-            rewards, _ = env.commit(arrangement)
+            rewards, _ = _commit(platform, view, accepts, arrangement)
             for event_id, reward in zip(arrangement, rewards):
                 results[(t, event_id)] = reward
         return results
 
-    assert outcomes(0) == outcomes(1)
+    opt = outcomes(OptPolicy(small_world.theta))
+    rand = outcomes(RandomPolicy(seed=0))
+    shared = opt.keys() & rand.keys()
+    assert shared
+    assert {key: opt[key] for key in shared} == {key: rand[key] for key in shared}
 
 
 def test_accepted_events_consume_capacity(small_world):
-    env = FaseaEnvironment(small_world, run_seed=0)
-    view = env.begin_round()
+    stream = RoundStream(small_world, run_seed=0)
+    platform = stream.make_platform()
+    view, accepts = _reveal(stream, platform, 1)
     arrangement = OptPolicy(small_world.theta).select(view)
-    rewards, entry = env.commit(arrangement)
-    after = env.platform.store.remaining_capacities
+    rewards, _ = _commit(platform, view, accepts, arrangement)
+    after = platform.store.remaining_capacities
     for event_id, reward in zip(arrangement, rewards):
         expected = small_world.capacities[event_id] - (1 if reward else 0)
         assert after[event_id] == expected
 
 
 def test_commit_validates_against_the_platform(small_world):
-    env = FaseaEnvironment(small_world, run_seed=0)
-    view = env.begin_round()
+    stream = RoundStream(small_world, run_seed=0)
+    platform = stream.make_platform()
+    view, accepts = _reveal(stream, platform, 1)
     # Find a conflicting pair to submit deliberately.
     pair = next(iter(small_world.conflicts.pairs()), None)
     if pair is None:
         pytest.skip("no conflicts in this world")
     if view.user.capacity < 2:
-        env.commit([])  # consume the round
-        view = env.begin_round()
+        _commit(platform, view, accepts, [])  # consume the round
+        view, accepts = _reveal(stream, platform, 2)
     with pytest.raises(ConflictError):
-        env.commit(list(pair))
+        _commit(platform, view, accepts, list(pair))
 
 
 def test_rewards_follow_the_linear_payoff():
@@ -107,16 +123,17 @@ def test_rewards_follow_the_linear_payoff():
             seed=0,
         )
     )
-    env = FaseaEnvironment(world, run_seed=0)
+    stream = RoundStream(world, run_seed=0)
+    platform = stream.make_platform()
     opt = OptPolicy(world.theta)
     accepted = 0.0
     expected = 0.0
     variance = 0.0
-    for _ in range(1000):
-        view = env.begin_round()
+    for t in range(1, 1001):
+        view, accepts = _reveal(stream, platform, t)
         arrangement = opt.select(view)
         probs = world.accept_probabilities(view.contexts)
-        rewards, _ = env.commit(arrangement)
+        rewards, _ = _commit(platform, view, accepts, arrangement)
         accepted += sum(rewards)
         expected += float(sum(probs[v] for v in arrangement))
         variance += float(sum(probs[v] * (1 - probs[v]) for v in arrangement))

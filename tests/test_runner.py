@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.bandits import OptPolicy, RandomPolicy, UcbPolicy, make_policy
+from repro.bandits import OptPolicy, RandomPolicy, RoundView, UcbPolicy, make_policy
 from repro.obs.core import Instrumentation
-from repro.simulation.environment import FaseaEnvironment
+from repro.simulation.environment import RoundStream
 from repro.simulation.fleet import run_policy_fleet
 from repro.simulation.runner import run_policy
 
@@ -130,17 +130,20 @@ def test_env_rounds_count_every_policy_step(small_world):
 
 
 def _environment_loop(policy, world, run_seed):
-    """The reveal-select-commit-observe loop, straight on the environment."""
-    env = FaseaEnvironment(world, run_seed=run_seed)
+    """The reveal-select-commit-observe loop, straight on stream and platform."""
+    stream = RoundStream(world, run_seed=run_seed)
+    platform = stream.make_platform()
     horizon = world.config.horizon
     rewards, arranged = np.zeros(horizon), np.zeros(horizon)
-    for t in range(horizon):
-        view = env.begin_round()
+    for t in range(1, horizon + 1):
+        user, contexts, accepts = stream.reveal(t)
+        view = RoundView(t, user, contexts, platform.store.remaining_capacities, platform.conflicts)
         arrangement = policy.select(view)
-        round_rewards, _ = env.commit(arrangement)
+        round_rewards = [1.0 if accepts[event_id] else 0.0 for event_id in arrangement]
+        platform.commit(user, arrangement, feedback=lambda v: bool(accepts[v]))
         policy.observe(view, arrangement, round_rewards)
-        rewards[t] = sum(round_rewards)
-        arranged[t] = len(arrangement)
+        rewards[t - 1] = sum(round_rewards)
+        arranged[t - 1] = len(arrangement)
     return rewards, arranged
 
 

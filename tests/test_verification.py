@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.bandits import RandomPolicy
+from repro.bandits import RandomPolicy, RoundView
 from repro.ebsn.conflicts import ConflictGraph
 from repro.ebsn.events import EventStore
 from repro.ebsn.ledger import RegistrationLedger
-from repro.simulation.environment import FaseaEnvironment
+from repro.simulation.environment import RoundStream
 from repro.simulation.history import History
 from repro.simulation.verification import (
     VerificationError,
@@ -96,26 +96,28 @@ def test_store_consistency_checks_remaining_capacity():
 
 def test_real_environment_run_passes_all_audits(small_world):
     """End-to-end: a genuine run reconciles on every axis."""
-    env = FaseaEnvironment(small_world, run_seed=0)
+    stream = RoundStream(small_world, run_seed=0)
+    platform = stream.make_platform()
     policy = RandomPolicy(seed=0)
     rewards = []
     arranged = []
-    for _ in range(50):
-        view = env.begin_round()
+    for t in range(1, 51):
+        user, contexts, accepts = stream.reveal(t)
+        view = RoundView(t, user, contexts, platform.store.remaining_capacities, platform.conflicts)
         arrangement = policy.select(view)
-        round_rewards, _ = env.commit(arrangement)
-        rewards.append(sum(round_rewards))
+        platform.commit(user, arrangement, feedback=lambda v: bool(accepts[v]))
+        rewards.append(sum(1.0 for event_id in arrangement if accepts[event_id]))
         arranged.append(len(arrangement))
     history = History(
         policy_name="Random",
         rewards=np.array(rewards),
         arranged=np.array(arranged),
     )
-    verify_history_against_ledger(history, env.platform.ledger)
+    verify_history_against_ledger(history, platform.ledger)
     verify_ledger_constraints(
-        env.platform.ledger,
+        platform.ledger,
         small_world.capacities,
         small_world.conflicts,
         max_user_capacity=small_world.config.user_capacity_max,
     )
-    verify_store_consistency(env.platform.store, env.platform.ledger)
+    verify_store_consistency(platform.store, platform.ledger)

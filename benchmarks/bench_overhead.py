@@ -9,8 +9,11 @@ sampler and the ratio gates of :data:`RATIO_GATES`.  The checkpoint pair
 bounds the price of one save instead: a ratio would punish short bench
 runs for a fixed fsync cost that real runs amortise over 8-25x longer
 cadences.  :func:`check_invariance` requires bit-equal rewards with each
-feature on and off.  The CI gate prints one JSON report with a section
-per feature and exits 1 naming every failed gate::
+feature on and off.  :func:`measure_page_faults` bounds the minor page
+faults of a six-policy fleet round at |V| = 10^4: a change that frees a
+|V|-sized buffer mid-round can keep every output and still make glibc
+trim and re-fault the heap on every round.  The CI gate prints one JSON
+report with a section per feature and exits 1 naming every failed gate::
 
     python -m benchmarks.bench_overhead
 """
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -30,9 +35,10 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import bench_config
+from repro.bandits import POLICY_NAMES, OptPolicy, make_policy
 from repro.bandits.base import RoundView
 from repro.bandits.ucb import UcbPolicy
-from repro.datasets.synthetic import SyntheticWorld, build_world
+from repro.datasets.synthetic import SyntheticConfig, SyntheticWorld, build_world
 from repro.io.checkpoint import CellCheckpointSpec
 from repro.obs.alerts import DEFAULT_ALERT_RULES, AlertBuffer, AlertEngine
 from repro.obs.core import NULL_OBS, Instrumentation
@@ -42,6 +48,7 @@ from repro.obs.profile import ProfileConfig
 from repro.obs.stream import StreamingSink
 from repro.oracle.greedy import oracle_greedy
 from repro.simulation.environment import RoundStream
+from repro.simulation.fleet import play_fleet
 from repro.simulation.history import History
 from repro.simulation.runner import run_policy
 
@@ -64,6 +71,18 @@ PASSES_PER_SAMPLE = 50
 HORIZONS = {"obs": 300, "flight": 150, "health": 150, "checkpoint": 200}
 #: An aggressive cadence (8 saves per run); the shipping default (200) saves 25x less often.
 CHECKPOINT_EVERY = 25
+#: The page-fault fleet: OPT + the five learners at |V| = 10^4, d = 20 and
+#: undrained capacities N(200, 40), as in perfbench's wide_catalogue.
+FAULT_NUM_EVENTS = 10_000
+FAULT_DIM = 20
+#: Rounds played before counting (the first rounds fault in every fresh
+#: buffer and settle glibc's mmap threshold), then rounds counted.
+FAULT_WARMUP_ROUNDS = 10
+FAULT_ROUNDS = 50
+#: The fault gate fails above this many minor faults per counted round
+#: (about 23 on a 2-vCPU x86-64 box; dividing the context matrix in place,
+#: which keeps every output, made glibc trim and re-fault it: ~375).
+MAX_FAULTS_PER_ROUND = 100.0
 
 def _baseline_select(policy: UcbPolicy, view) -> List[int]:
     """Pre-obs ``UcbPolicy.select``: no plumbing, straight to the oracle."""
@@ -193,7 +212,10 @@ RATIO_GATES = (
 #: Every gated statistic as (section, key, bound); above the bound fails.
 GATES: Tuple[Tuple[str, str, float], ...] = tuple(
     (section, key, 1.0 + RATIO_THRESHOLD) for section, key, *_ in RATIO_GATES
-) + (("checkpoint", "per_save_ms", MAX_SAVE_MS),)
+) + (
+    ("checkpoint", "per_save_ms", MAX_SAVE_MS),
+    ("faults", "minor_faults_per_round", MAX_FAULTS_PER_ROUND),
+)
 
 
 def paired_samples(
@@ -280,6 +302,53 @@ def measure_checkpoint_cost(repeats: int = CHECKPOINT_REPEATS) -> dict:
     }
 
 
+class _FaultCountingStream(RoundStream):
+    """A :class:`RoundStream` that notes the process's minor page faults
+    when round ``FAULT_WARMUP_ROUNDS + 1`` is revealed."""
+
+    faults_at_start = 0
+
+    def reveal(self, t: int):
+        if t == FAULT_WARMUP_ROUNDS + 1:
+            self.faults_at_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        return super().reveal(t)
+
+
+def fleet_faults_per_round() -> float:
+    """Minor page faults per counted round of the page-fault fleet, played
+    in this process."""
+    horizon = FAULT_WARMUP_ROUNDS + FAULT_ROUNDS
+    world = build_world(SyntheticConfig(
+        num_events=FAULT_NUM_EVENTS, horizon=horizon, dim=FAULT_DIM,
+        capacity_mean=200.0, capacity_std=40.0,
+    ))
+    policies = {"OPT": OptPolicy(world.theta)}
+    for name in POLICY_NAMES:
+        policies[name] = make_policy(name, dim=FAULT_DIM, seed=1)
+    stream = _FaultCountingStream(world, run_seed=0)
+    play_fleet(policies, stream, horizon, span_name="page_faults", span_attrs={})
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - stream.faults_at_start
+    return faults / FAULT_ROUNDS
+
+
+def measure_page_faults() -> dict:
+    """:func:`fleet_faults_per_round` in a fresh interpreter: the count
+    depends on the heap a process has already grown, so it is taken in a
+    process that has done nothing else."""
+    code = "from benchmarks.bench_overhead import fleet_faults_per_round as f; print(f())"
+    child = subprocess.run(
+        [sys.executable, "-c", code], cwd=Path(__file__).resolve().parent.parent,
+        check=True, capture_output=True, text=True,
+    )
+    return {
+        "minor_faults_per_round": float(child.stdout.split()[-1]),
+        "max_minor_faults_per_round": MAX_FAULTS_PER_ROUND,
+        "num_events": FAULT_NUM_EVENTS,
+        "warmup_rounds": FAULT_WARMUP_ROUNDS,
+        "rounds": FAULT_ROUNDS,
+    }
+
+
 Runs = Dict[str, Tuple[History, float]]
 
 
@@ -363,6 +432,7 @@ def measure_overhead(
     """The full report: every gate, every invariance check, and ``ok``."""
     sections = measure_ratio_gates(ratio_repeats)
     sections["checkpoint"] = measure_checkpoint_cost(checkpoint_repeats)
+    sections["faults"] = measure_page_faults()
     for feature in FEATURES:
         sections[feature].update(check_invariance(feature))
     return {**sections, "ok": not failed_gates(sections)}

@@ -56,17 +56,22 @@ class LinearModel:
         arranged: Sequence[int],
         rewards: Sequence[float],
     ) -> None:
-        """Fold the arranged events' contexts and rewards into ``(Y, b)``."""
-        arranged = list(arranged)
-        rewards = list(rewards)
+        """Fold the arranged events' contexts and rewards into ``(Y, b)``.
+
+        ``update_batch`` converts and checks the gathered rows and the
+        rewards itself; ``take`` gathers the same rows as fancy indexing
+        without its index-parsing overhead.
+        """
         if len(arranged) != len(rewards):
             raise ConfigurationError(
                 f"{len(arranged)} arranged events but {len(rewards)} rewards"
             )
-        if not arranged:
+        if not len(arranged):
             return
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-        self.state.update_batch(contexts[arranged], np.asarray(rewards, dtype=float))
+        matrix = np.asarray(contexts, dtype=float)
+        if matrix.ndim == 1:  # a single event's context vector
+            matrix = matrix[np.newaxis, :]
+        self.state.update_batch(matrix.take(arranged, axis=0), rewards)
 
     def reset(self) -> None:
         """Return to the prior state."""

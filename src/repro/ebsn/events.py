@@ -163,16 +163,16 @@ class EventStore:
         Unknown ids raise (checked for the whole list before any
         availability verdict), exactly like the scalar accessor.
         """
-        ids = [int(event_id) for event_id in event_ids]
         num_events = self._num_events
-        for event_id in ids:
+        remaining = self._remaining
+        available = True
+        for event_id in event_ids:
+            event_id = int(event_id)
             if not 0 <= event_id < num_events:
                 raise UnknownEventError(event_id)
-        remaining = self._remaining
-        for event_id in ids:
             if remaining[event_id] <= 0:
-                return False
-        return True
+                available = False
+        return available
 
     def available_mask(self) -> np.ndarray:
         """Boolean mask over event ids with remaining capacity > 0."""
@@ -185,10 +185,11 @@ class EventStore:
     def register(self, event_id: int) -> None:
         """Consume one capacity slot of ``event_id`` (an accepted event)."""
         self._check_id(event_id)
-        if self._remaining[event_id] <= 0:
+        left = self._remaining[event_id]
+        if left <= 0:
             raise CapacityError(f"event {event_id} is already full")
-        if math.isfinite(self._remaining[event_id]):
-            self._remaining[event_id] -= 1
+        if math.isfinite(left):
+            self._remaining[event_id] = left - 1
 
     def release(self, event_id: int) -> None:
         """Return one capacity slot (used only by tests and what-if tools)."""

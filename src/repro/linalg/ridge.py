@@ -25,6 +25,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.exceptions import ConfigurationError
+from repro.linalg.lapack import solve
 
 #: Dense float64 array — the only dtype the ridge state traffics in.
 FloatArray = npt.NDArray[np.float64]
@@ -157,17 +158,18 @@ class RidgeState:
             self._updates_since_refresh = 0
             return
         if k == 1:
-            # Rank-1 batch: plain Sherman--Morrison, no k x k solve.
+            # Rank-1 batch: plain Sherman--Morrison, no k x k solve.  The
+            # broadcast product is ``np.outer``'s own, minus its wrapper.
             vec = rows[0]
             y_inv_x = self._y_inv @ vec
             denom = 1.0 + float(vec @ y_inv_x)
-            self._y_inv -= np.outer(y_inv_x, y_inv_x) / denom
+            self._y_inv -= y_inv_x[:, np.newaxis] * y_inv_x / denom
             return
         # Woodbury rank-k downdate of the maintained inverse.
         y_inv_xt = self._y_inv @ rows.T  # (d, k)
         capacitance = rows @ y_inv_xt  # (k, k)
-        capacitance.flat[:: k + 1] += 1.0  # I_k + X Y^-1 X^T, diag stride
-        self._y_inv -= y_inv_xt @ np.linalg.solve(capacitance, y_inv_xt.T)
+        capacitance.ravel()[:: k + 1] += 1.0  # I_k + X Y^-1 X^T, diag stride
+        self._y_inv -= y_inv_xt @ solve(capacitance, y_inv_xt.T)
 
     # ------------------------------------------------------------------
     # Queries

@@ -14,6 +14,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.exceptions import ConfigurationError
+from repro.linalg.lapack import cholesky
 
 RngLike = Union[int, np.random.Generator, None]
 
@@ -109,7 +110,7 @@ def cholesky_sample(
     for attempt in range(max_tries):
         bump = jitter * scale * (10.0**attempt)
         try:
-            lower = np.linalg.cholesky(symmetric + bump * np.eye(loc.size))
+            lower = cholesky(symmetric + bump * np.eye(loc.size))
         except np.linalg.LinAlgError:
             continue
         return loc + lower @ rng.standard_normal(loc.size)

@@ -2,7 +2,8 @@
 
 No wall-clock value is asserted: these tests pin the reward invariance
 of every feature, the bound arithmetic of the gates and the report's
-shape.  The timings themselves are gated by the CI ``obs-overhead`` job.
+shape.  The timings and the page-fault count themselves are gated by the
+CI ``obs-overhead`` job.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ def _synthetic_report(failing=None):
         past = failing == f"{section}.{key}"
         if key == "per_save_ms":  # 8 saves; best-of-N delta 0.2 s is 25.0 ms each
             value = harness.per_save_ms([0.0, 0.1], [0.2008 if past else 0.2, 0.3], saves=8)
+        elif key == "minor_faults_per_round":  # 100 faults per round, or 100.1
+            value = 100.1 if past else 100.0
         else:  # the best pair decides: 1.03, or 1.031 past the bound
             value = harness.min_paired_ratio([1.0, 2.0], [1.031 if past else 1.03, 2.5])
         report.setdefault(section, {})[key] = value
@@ -44,6 +47,7 @@ def test_statistics_on_their_bounds_pass():
     # Exactly on the bound, so ``<=`` (not ``<``) is what passes them.
     assert report["obs"]["ratio"] == 1.03  # fasealint: disable=FAS003
     assert report["checkpoint"]["per_save_ms"] == 25.0  # fasealint: disable=FAS003
+    assert report["faults"]["minor_faults_per_round"] == harness.MAX_FAULTS_PER_ROUND  # fasealint: disable=FAS003
     assert harness.failed_gates(report) == []
 
 
@@ -51,13 +55,14 @@ def test_statistics_on_their_bounds_pass():
 def test_a_statistic_past_its_bound_fails_that_gate_alone(gate):
     report = _synthetic_report(failing=gate)
     section, key = gate.split(".")
-    assert report[section][key] == pytest.approx(25.1 if key == "per_save_ms" else 1.031)
+    expected = {"per_save_ms": 25.1, "minor_faults_per_round": 100.1}.get(key, 1.031)
+    assert report[section][key] == pytest.approx(expected)
     assert harness.failed_gates(report) == [gate]
 
 
 def test_report_has_every_section_gate_and_extra():
     report = harness.measure_overhead(ratio_repeats=1, checkpoint_repeats=1)
-    assert set(report) == {"obs", "flight", "health", "checkpoint", "ok"}
+    assert set(report) == {"obs", "flight", "health", "checkpoint", "faults", "ok"}
     for gate in GATE_NAMES:
         section, key = gate.split(".")
         assert key in report[section]
@@ -66,4 +71,5 @@ def test_report_has_every_section_gate_and_extra():
     assert {"plain_select_us", "repeats", "threshold"} <= set(report["flight"])
     assert {"obs_on_run_seconds", "obs_profile_stream_run_seconds"} <= set(report["obs"])
     assert {"saves_per_run", "max_save_ms"} <= set(report["checkpoint"])
+    assert {"max_minor_faults_per_round", "warmup_rounds", "rounds"} <= set(report["faults"])
     assert report["ok"] == (harness.failed_gates(report) == [])

@@ -82,6 +82,26 @@ def test_violated_finding_is_flagged(fake_results):
     assert fig1.verdict == "NOT REPRODUCED"
 
 
+def test_tab5_needs_ucb_slowest_of_all_policies(fake_results):
+    # Random and Exploit stay faster than UCB; only TS overtakes it.
+    write_csv(
+        fake_results, "tab5", "table_avg_time__sec_round.csv",
+        ["Algorithm", "|V|=100", "|V|=1000"],
+        [["UCB", 0.001, 0.002], ["Random", 0.0001, 0.0002],
+         ["Exploit", 0.0002, 0.0004], ["TS", 0.0005, 0.0025],
+         ["eGreedy", 0.0002, 0.0004]],
+    )
+    tab5 = [f for f in grade_results(fake_results) if f.title.startswith("tab5")][0]
+    assert tab5.holds is False
+    assert tab5.evidence.startswith("at |V|=1000: UCB -20% vs the next slowest, TS;")
+
+
+def test_tab5_evidence_names_the_runner_up(fake_results):
+    tab5 = [f for f in grade_results(fake_results) if f.title.startswith("tab5")][0]
+    assert tab5.holds is True
+    assert tab5.evidence.startswith("at |V|=1000: UCB +122% vs the next slowest, TS;")
+
+
 def test_render_report_markdown(fake_results):
     text = render_report(grade_results(fake_results), fake_results)
     assert text.startswith("# Reproduction report")

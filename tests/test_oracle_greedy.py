@@ -66,8 +66,16 @@ def test_explicit_order_overrides_scores():
 
 
 def test_explicit_order_must_be_a_permutation():
-    with pytest.raises(ConfigurationError):
-        oracle_greedy(np.ones(3), graph(3), np.ones(3), 1, order=[0, 0, 1])
+    for order in (
+        [0, 0, 1],  # a repeat
+        [0, 1, 3],  # an id past |V|
+        [0, -1, 1],  # a negative id
+        [0, 1],  # too short
+        [0, 1, 2, 0],  # too long
+        [10**12],  # wrong length and a huge id: no terabyte bincount
+    ):
+        with pytest.raises(ConfigurationError):
+            oracle_greedy(np.ones(3), graph(3), np.ones(3), 1, order=order)
 
 
 def test_input_validation():

@@ -17,7 +17,6 @@ share across processes thanks to SQLite's own locking.
 from __future__ import annotations
 
 import os
-import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -165,6 +164,9 @@ class RunStore:
     """SQLite-backed store of run summaries and curve samples."""
 
     def __init__(self, path: Union[str, Path] = ":memory:") -> None:
+        # Deferred: a run without ``--store`` never loads SQLite.
+        import sqlite3
+
         self._path = str(path)
         self._connection = sqlite3.connect(self._path)
         self._connection.execute("PRAGMA foreign_keys = ON")

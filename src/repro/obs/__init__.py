@@ -13,12 +13,11 @@ Usage::
     with obs.use(inst), inst.span("experiment", id="fig1"):
         history = run_policy(policy, world, horizon=2000)
     snapshot = inst.snapshot()            # mergeable, picklable
-    text = obs.to_prometheus_text(snapshot)
+    text = obs.snapshot_to_json(snapshot)
 
 Sinks: ``metrics.json`` / ``trace.jsonl`` next to each run
 (:func:`repro.io.runstore.persist_run_telemetry`), the crash-safe
-streaming sink (:class:`StreamingSink`), Prometheus text exposition
-(:func:`to_prometheus_text`), and the ``fasea obs
+streaming sink (:class:`StreamingSink`), and the ``fasea obs
 summary|trace|diff|tail|health|top|profile|replay|ope`` CLI verbs
 (:mod:`repro.obs.cli`).  The deterministic sampling profiler lives in
 :mod:`repro.obs.profile`; the bench history lives in
@@ -43,7 +42,6 @@ from repro.obs.core import (
 from repro.obs.export import (
     snapshot_from_json,
     snapshot_to_json,
-    to_prometheus_text,
 )
 from repro.obs.flight import (
     DECISIONS_FILENAME,
@@ -105,7 +103,6 @@ __all__ = [
     "snapshot_to_json",
     "span_tree_lines",
     "tail_lines",
-    "to_prometheus_text",
     "use",
     "write_profile",
     "write_trace_jsonl",

@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.exceptions import ConfigurationError
 from repro.obs.console import Console
 from repro.obs.core import MetricsSnapshot
-from repro.obs.export import snapshot_from_json, to_prometheus_text
+from repro.obs.export import snapshot_from_json
 from repro.obs.health import EXHAUSTION_SUFFIX, drop_point_rows
 from repro.obs.trace import read_trace_jsonl, span_tree_lines
 
@@ -320,8 +320,8 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     summary.add_argument(
         "--format",
         default="text",
-        choices=("text", "json", "prometheus"),
-        help="output format (json/prometheus are machine-readable)",
+        choices=("text", "json"),
+        help="output format (json is machine-readable)",
     )
     summary.add_argument(
         "--quiet", action="store_true", help="suppress human-readable chrome"
@@ -528,9 +528,6 @@ def _summary(args: argparse.Namespace, console: Console) -> int:
         from repro.obs.export import snapshot_to_json
 
         console.data(snapshot_to_json(snapshot), end="\n")
-        return 0
-    if args.format == "prometheus":
-        console.data(to_prometheus_text(snapshot), end="")
         return 0
     console.info(f"snapshot: {_resolve_metrics_path(args.target)}")
     console.result(render_summary(snapshot))

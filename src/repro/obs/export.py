@@ -1,24 +1,15 @@
-"""Snapshot exporters: JSON documents and Prometheus text exposition.
+"""Snapshot export: the ``metrics.json`` document.
 
 ``snapshot_to_json``/``snapshot_from_json`` round-trip the
 :class:`~repro.obs.core.MetricsSnapshot` schema (version 1) that
-``metrics.json`` files use; ``to_prometheus_text`` renders the same
-snapshot in the Prometheus text exposition format (0.0.4) so a scrape
-endpoint — or a file-based textfile collector — can serve run metrics
-without extra dependencies.
+``metrics.json`` files use.
 """
 
 from __future__ import annotations
 
 import json
-import re
-from typing import Any, Dict, List
 
 from repro.obs.core import MetricsSnapshot
-
-_NAME_SANITISE_RE = re.compile(r"[^a-zA-Z0-9_:]")
-#: Prefix applied to every exported metric name.
-PROM_NAMESPACE = "fasea"
 
 
 def snapshot_to_json(snapshot: MetricsSnapshot, indent: int = 2) -> str:
@@ -29,57 +20,3 @@ def snapshot_to_json(snapshot: MetricsSnapshot, indent: int = 2) -> str:
 def snapshot_from_json(text: str) -> MetricsSnapshot:
     """Parse a ``metrics.json`` document back into a snapshot."""
     return MetricsSnapshot.from_dict(json.loads(text))
-
-
-def prometheus_name(name: str) -> str:
-    """A metric name sanitised to Prometheus' ``[a-zA-Z0-9_:]`` charset."""
-    sanitised = _NAME_SANITISE_RE.sub("_", name)
-    if sanitised and sanitised[0].isdigit():
-        sanitised = "_" + sanitised
-    return f"{PROM_NAMESPACE}_{sanitised}"
-
-
-def _format_value(value: Any) -> str:
-    number = float(value)
-    if number == int(number) and abs(number) < 1e15:
-        return str(int(number))
-    return repr(number)
-
-
-def to_prometheus_text(snapshot: MetricsSnapshot) -> str:
-    """Render a snapshot in the Prometheus text exposition format.
-
-    Counters and gauges map directly; histograms/timers emit cumulative
-    ``_bucket{le=...}`` lines plus ``_sum``/``_count``; series export
-    their final value as a gauge suffixed ``_last`` (Prometheus has no
-    native series type — the full trajectory lives in ``metrics.json``).
-    """
-    lines: List[str] = []
-    for name in sorted(snapshot.counters):
-        prom = prometheus_name(name)
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {_format_value(snapshot.counters[name])}")
-    for name in sorted(snapshot.gauges):
-        prom = prometheus_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {_format_value(snapshot.gauges[name])}")
-    for name in sorted(snapshot.histograms):
-        payload: Dict[str, Any] = snapshot.histograms[name]
-        prom = prometheus_name(name)
-        lines.append(f"# TYPE {prom} histogram")
-        cumulative = 0
-        for bound, count in zip(payload.get("buckets", []), payload.get("counts", [])):
-            cumulative += count
-            lines.append(f'{prom}_bucket{{le="{bound:g}"}} {cumulative}')
-        total_count = int(payload.get("count", 0))
-        lines.append(f'{prom}_bucket{{le="+Inf"}} {total_count}')
-        lines.append(f"{prom}_sum {_format_value(payload.get('sum', 0.0))}")
-        lines.append(f"{prom}_count {total_count}")
-    for name in sorted(snapshot.series):
-        points = snapshot.series[name]
-        if not points:
-            continue
-        prom = prometheus_name(name) + "_last"
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {_format_value(points[-1][1])}")
-    return "\n".join(lines) + ("\n" if lines else "")

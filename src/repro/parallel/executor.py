@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -68,6 +67,9 @@ from repro.io.checkpoint import (
 from repro.obs.clock import wall_time
 from repro.obs.core import Instrumentation, MetricsSnapshot, current, use
 from repro.obs.flight import FlightBuffer
+
+if TYPE_CHECKING:  # the pool is imported where it is made (_execute_pool)
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -112,6 +114,7 @@ _WorkerPayload = Tuple[
     bool,
     Optional[Any],
     Optional[Any],
+    Optional[Any],
     Optional[str],
     Optional[str],
 ]
@@ -145,7 +148,9 @@ def _run_unit_instrumented(payload: _WorkerPayload) -> _WorkerResult:
     :class:`~repro.obs.health.HealthMonitor` / in-memory
     :class:`~repro.obs.alerts.AlertEngine` and ships their events and
     firings back for a submission-order drain — ``alerts.jsonl`` and
-    the health log are byte-identical for every worker count.
+    the health log are byte-identical for every worker count.  The
+    parent's ``--profile`` sampling config is set on the worker registry
+    too, so a unit samples the same rounds under every worker count.
 
     With a cache directory in the payload the finished result tuple is
     pickled atomically before returning, so a later resume replays this
@@ -164,10 +169,12 @@ def _run_unit_instrumented(payload: _WorkerPayload) -> _WorkerResult:
         flight_enabled,
         health_config,
         rules,
+        profile_config,
         cache_dir,
         digest,
     ) = payload
     worker_obs = Instrumentation()
+    worker_obs.profile_config = profile_config
     if flight_enabled:
         worker_obs.flight_recorder = FlightBuffer()
     if health_config is not None:
@@ -313,12 +320,10 @@ def run_work_units(
     )
     obs = current()
     if jobs == 1 or len(units) == 1:
-        if scope is None and not keep_going:
-            if not obs.enabled:
-                return _run_serial_plain(fn, units)
-            return _run_serial_instrumented(fn, units, obs)
         if not obs.enabled:
             return _run_serial_plain_ft(fn, units, keep_going, scope, digests)
+        if scope is None and not keep_going:
+            return _run_serial_instrumented(fn, units, obs)
         return _run_serial_isolated(fn, units, obs, keep_going, scope, digests)
     workers = min(jobs, len(units), os.cpu_count() or jobs)
     if obs.enabled:
@@ -333,19 +338,6 @@ def run_work_units(
 # ----------------------------------------------------------------------
 # Serial paths
 # ----------------------------------------------------------------------
-def _run_serial_plain(fn: Callable[[T], R], units: List[T]) -> List[R]:
-    """Inline execution; failures are annotated with the unit index."""
-    results: List[R] = []
-    for index, unit in enumerate(units):
-        try:
-            results.append(fn(unit))
-        except Exception as error:
-            if hasattr(error, "add_note"):  # pragma: no branch
-                error.add_note(f"raised by work unit {index}")
-            raise
-    return results
-
-
 def _run_serial_instrumented(
     fn: Callable[[T], R], units: List[T], obs: Any
 ) -> List[R]:
@@ -381,7 +373,11 @@ def _run_serial_plain_ft(
     scope: Optional[UnitCacheScope],
     digests: Optional[List[str]],
 ) -> List[Union[R, UnitFailure]]:
-    """Serial uninstrumented execution with caching and/or keep-going."""
+    """Inline uninstrumented execution, with optional caching and keep-going.
+
+    Without ``keep_going`` a failure re-raises annotated with the unit
+    index.
+    """
     results: List[Union[R, UnitFailure]] = []
     for index, unit in enumerate(units):
         if scope is not None and digests is not None:
@@ -435,6 +431,7 @@ def _run_serial_isolated(
     engine = getattr(obs, "alert_engine", None)
     health_config = monitor.config if monitor is not None else None
     rules = engine.rules if engine is not None else None
+    profile_config = getattr(obs, "profile_config", None)
     cache_dir = str(scope.directory) if scope is not None else None
     results: List[Union[R, UnitFailure]] = []
     with obs.span("run_work_units", jobs=1, units=len(units)):
@@ -455,6 +452,7 @@ def _run_serial_isolated(
                     flight is not None,
                     health_config,
                     rules,
+                    profile_config,
                     cache_dir,
                     digest,
                 )
@@ -545,6 +543,11 @@ def _execute_pool(
       one-unit-per-pool isolation (a crash then blames exactly one
       unit); without it the ``BrokenExecutor`` re-raises.
     """
+    # Deferred: a serial run never loads the pool and what it pulls in
+    # (multiprocessing, subprocess, socket).
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FuturesTimeoutError
+
     todo = [index for index, outcome in enumerate(outcomes) if outcome is None]
     rebuilds = 0
     isolate = False
@@ -702,6 +705,7 @@ def _run_pool_instrumented(
     engine = getattr(obs, "alert_engine", None)
     health_config = monitor.config if monitor is not None else None
     rules = engine.rules if engine is not None else None
+    profile_config = getattr(obs, "profile_config", None)
     cache_dir = str(scope.directory) if scope is not None else None
     results: List[Union[R, UnitFailure]] = []
     with obs.span("run_work_units", jobs=workers, units=len(units)):
@@ -722,6 +726,7 @@ def _run_pool_instrumented(
                 flight is not None,
                 health_config,
                 rules,
+                profile_config,
                 cache_dir,
                 digests[index] if digests is not None else None,
             )

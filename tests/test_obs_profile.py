@@ -264,6 +264,46 @@ def test_merged_worker_traces_equal_merged_profiles(small_world):
         assert stat.count == stepwise.stacks[stack].count
 
 
+def _executor_step_counts(config, jobs, keep_going=False):
+    """Stack counts below the executor's span, for two cells it runs."""
+    from repro.obs.core import use
+    from repro.parallel import ReplicationCell, run_replication_cell, run_work_units
+
+    cells = [
+        ReplicationCell(
+            config=config,
+            seed=seed,
+            horizon=24,
+            policy_names=("UCB", "Random"),
+            policy_seed=1,
+        )
+        for seed in (1, 2)
+    ]
+    obs = Instrumentation()
+    obs.profile_config = ProfileConfig(sample_every=8)
+    with use(obs):
+        run_work_units(run_replication_cell, cells, jobs=jobs, keep_going=keep_going)
+    # Serial units nest under the parent's ``run_work_units`` span; pool
+    # workers' spans merge in as roots.
+    return {
+        stack[stack.index("run_policy_fleet") :]: stat.count
+        for stack, stat in Profile.from_trace_records(obs.trace_records()).stacks.items()
+        if "run_policy_fleet" in stack
+    }
+
+
+@pytest.mark.parametrize(
+    "jobs, keep_going", [(2, False), (1, True)], ids=["pool", "serial-isolated"]
+)
+def test_worker_units_sample_the_parents_profile_grid(small_config, jobs, keep_going):
+    # Pool workers and the serial keep-going path run each unit under a
+    # fresh registry; it must carry the parent's sampling config, or the
+    # profile loses every round and step span.
+    inline = _executor_step_counts(small_config, jobs=1)
+    assert inline[("run_policy_fleet", "round", "step:UCB", "select")] == 6
+    assert _executor_step_counts(small_config, jobs, keep_going) == inline
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------

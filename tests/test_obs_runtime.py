@@ -185,12 +185,10 @@ def test_cli_summary_text(run_dir, capsys):
     assert "counters" in out and "policy.UCB.rounds" in out
 
 
-def test_cli_summary_json_and_prometheus(run_dir, capsys):
+def test_cli_summary_json(run_dir, capsys):
     assert cli_main(["obs", "summary", "--format", "json", str(run_dir)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 1
-    assert cli_main(["obs", "summary", "--format", "prometheus", str(run_dir)]) == 0
-    assert "# TYPE fasea_" in capsys.readouterr().out
 
 
 def test_cli_summary_json_key_order_is_stable(run_dir, capsys):

@@ -2,8 +2,7 @@
 
 The sinks are the plain-data boundary of the telemetry bus: traces
 round-trip through JSONL unchanged, snapshots round-trip through the
-``metrics.json`` schema and render to Prometheus text exposition, and
-every human-facing CLI line flows through :class:`Console` with the
+``metrics.json`` schema, and every human-facing CLI line flows through :class:`Console` with the
 documented stream/quiet/colour routing.
 """
 
@@ -15,12 +14,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.obs.console import Console, color_allowed
 from repro.obs.core import Instrumentation
-from repro.obs.export import (
-    prometheus_name,
-    snapshot_from_json,
-    snapshot_to_json,
-    to_prometheus_text,
-)
+from repro.obs.export import snapshot_from_json, snapshot_to_json
 from repro.obs.trace import read_trace_jsonl, span_tree_lines, write_trace_jsonl
 
 
@@ -85,7 +79,7 @@ def test_span_tree_can_exclude_events_and_truncate(sample_obs):
 
 
 # ----------------------------------------------------------------------
-# JSON + Prometheus exporters
+# JSON exporter
 # ----------------------------------------------------------------------
 def test_snapshot_json_roundtrip(sample_obs):
     snapshot = sample_obs.snapshot()
@@ -93,72 +87,6 @@ def test_snapshot_json_roundtrip(sample_obs):
     assert text.endswith("\n")
     assert json.loads(text)["version"] == 1
     assert snapshot_from_json(text).to_dict() == snapshot.to_dict()
-
-
-def test_prometheus_name_sanitises_to_charset():
-    assert prometheus_name("policy.UCB.reward") == "fasea_policy_UCB_reward"
-    assert prometheus_name("9lives") == "fasea__9lives"
-
-
-def test_prometheus_text_renders_every_metric_family(sample_obs):
-    text = to_prometheus_text(sample_obs.snapshot())
-    assert "# TYPE fasea_env_rounds counter" in text
-    assert "fasea_env_rounds 3" in text
-    assert "# TYPE fasea_parallel_workers gauge" in text
-    assert "fasea_parallel_workers 2" in text
-    assert "# TYPE fasea_policy_UCB_select_seconds histogram" in text
-    assert 'fasea_policy_UCB_select_seconds_bucket{le="+Inf"} 1' in text
-    assert "fasea_policy_UCB_select_seconds_count 1" in text
-    assert "# TYPE fasea_policy_UCB_reward_last gauge" in text
-    assert "fasea_policy_UCB_reward_last 5" in text
-
-
-def test_prometheus_buckets_are_cumulative():
-    obs = Instrumentation()
-    hist = obs.histogram("h", buckets=(1.0, 2.0))
-    for value in (0.5, 1.5, 1.6):
-        hist.observe(value)
-    text = to_prometheus_text(obs.snapshot())
-    assert 'fasea_h_bucket{le="1"} 1' in text
-    assert 'fasea_h_bucket{le="2"} 3' in text
-    assert 'fasea_h_bucket{le="+Inf"} 3' in text
-
-
-def test_prometheus_text_of_empty_snapshot_is_empty():
-    assert to_prometheus_text(Instrumentation().snapshot()) == ""
-
-
-def test_prometheus_name_escaping_edge_cases():
-    # Every character outside [a-zA-Z0-9_:] collapses to "_"; colons
-    # (the recording-rule namespace char) survive.
-    assert prometheus_name("a b/c-d") == "fasea_a_b_c_d"
-    assert prometheus_name("ns:rule") == "fasea_ns:rule"
-    assert prometheus_name("θ.drift") == "fasea___drift"
-    assert prometheus_name("policy.TS(ν=0.1).reward") == (
-        "fasea_policy_TS___0_1__reward"
-    )
-    # Sanitised names never start with a digit (after the namespace the
-    # raw name could; the exporter guards it anyway).
-    assert not prometheus_name("0").removeprefix("fasea_")[0].isdigit()
-
-
-def test_prometheus_bucket_labels_format_bounds_compactly():
-    obs = Instrumentation()
-    hist = obs.histogram("latency", buckets=(0.001, 0.25, 10.0))
-    hist.observe(0.0005)
-    text = to_prometheus_text(obs.snapshot())
-    assert 'fasea_latency_bucket{le="0.001"} 1' in text
-    assert 'fasea_latency_bucket{le="0.25"} 1' in text
-    assert 'fasea_latency_bucket{le="10"} 1' in text
-
-
-def test_prometheus_skips_empty_series_but_keeps_zero_counters():
-    obs = Instrumentation()
-    obs.counter("touched.never.incremented")
-    obs.series("empty.series")
-    text = to_prometheus_text(obs.snapshot())
-    assert "fasea_touched_never_incremented 0" in text
-    assert "empty_series" not in text
 
 
 # ----------------------------------------------------------------------

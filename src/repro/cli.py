@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "stream telemetry incrementally while running (implies --obs); "
-            "follow with 'fasea obs tail <dir>' from another terminal"
+            "follow with 'fasea obs top <dir>' from another terminal"
         ),
     )
     run.add_argument(

@@ -14,10 +14,10 @@ provides the two layers that make a run restartable **bit-for-bit**:
   ``.npz`` archive;
 
 * a *unit-result cache* (:class:`ExecutorCheckpoint`): each completed
-  work unit's full result (including its worker telemetry tuple) is
-  pickled next to the cell checkpoints, so a resumed sweep replays
-  finished cells instantly and re-runs only the interrupted one from
-  its last round checkpoint.
+  work unit's outcome (its result plus, when telemetry is on, what the
+  unit recorded) is pickled next to the cell checkpoints, so a resumed
+  sweep replays finished cells instantly and re-runs only the
+  interrupted one from its last round checkpoint.
 
 Both layers follow the flight-recorder crash-safety contract: files are
 written to a dotted temp name in the same directory, flushed, fsync'd
@@ -86,7 +86,7 @@ __all__ = [
 #: Bumped when the cell-checkpoint npz layout changes incompatibly.
 CHECKPOINT_SCHEMA_VERSION = 3
 #: Bumped when the pickled unit-cache layout changes incompatibly.
-UNIT_CACHE_SCHEMA_VERSION = 1
+UNIT_CACHE_SCHEMA_VERSION = 2
 #: The checkpoint directory's identity document.
 MANIFEST_FILENAME = "manifest.json"
 #: Default ``--checkpoint`` cadence (rounds between saves).
@@ -371,11 +371,23 @@ def unit_digest(fn: Callable[..., Any], unit: Any) -> str:
     return hashlib.sha256(pickle.dumps(identity, protocol=4)).hexdigest()
 
 
-def save_unit_result(directory: str, index: int, digest: str, value: Any) -> Path:
-    """Atomically cache one completed unit's result (worker-side)."""
+def save_unit_result(
+    directory: str,
+    index: int,
+    digest: str,
+    value: Any,
+    captures: Tuple[str, ...] = (),
+) -> Path:
+    """Atomically cache one completed unit's outcome (worker-side).
+
+    ``captures`` names the telemetry channels ``value`` holds besides
+    the unit's result (empty when the run recorded none); a resume must
+    record the same channels to replay it.
+    """
     payload = {
         "version": UNIT_CACHE_SCHEMA_VERSION,
         "digest": digest,
+        "captures": list(captures),
         "value": value,
     }
     return atomic_write_bytes(
@@ -384,15 +396,21 @@ def save_unit_result(directory: str, index: int, digest: str, value: Any) -> Pat
     )
 
 
+def _describe_captures(captures: Any) -> str:
+    return "+".join(captures) if captures else "off"
+
+
 def load_unit_result(
-    directory: str, index: int, digest: str
+    directory: str, index: int, digest: str, captures: Tuple[str, ...] = ()
 ) -> Optional[Tuple[Any]]:
-    """Load a cached unit result; ``None`` on miss, 1-tuple on hit.
+    """Load a cached unit outcome; ``None`` on miss, 1-tuple on hit.
 
     The 1-tuple wrapper keeps a legitimately-``None`` cached result
     distinguishable from a cache miss.  A digest mismatch (different
-    work under the same index) raises instead of silently replaying a
-    stale result.
+    work under the same index) or a captures mismatch (the entry was
+    cached under another telemetry setting, so it holds a different
+    outcome shape) raises instead of silently replaying a stale or
+    unmergeable result.
     """
     path = Path(directory) / f"unit-{index:04d}.pkl"
     if not path.exists():
@@ -416,6 +434,14 @@ def load_unit_result(
             f"{path} was produced by different work (digest mismatch); "
             "pass a fresh checkpoint directory or matching configuration"
         )
+    stored = tuple(payload.get("captures", ()))
+    if stored != tuple(captures):
+        raise ConfigurationError(
+            f"{path} was cached with telemetry {_describe_captures(stored)} "
+            f"but this run records {_describe_captures(captures)}; resume "
+            "under the telemetry setting (registry, flight recorder, health "
+            "monitor) of the run that wrote the checkpoint"
+        )
     return (payload["value"],)
 
 
@@ -427,11 +453,13 @@ class UnitCacheScope:
         self.resume = resume
         directory.mkdir(parents=True, exist_ok=True)
 
-    def load(self, index: int, digest: str) -> Optional[Tuple[Any]]:
-        """Cached result for ``index`` (only when resuming)."""
+    def load(
+        self, index: int, digest: str, captures: Tuple[str, ...] = ()
+    ) -> Optional[Tuple[Any]]:
+        """Cached outcome for ``index`` (only when resuming)."""
         if not self.resume:
             return None
-        return load_unit_result(str(self.directory), index, digest)
+        return load_unit_result(str(self.directory), index, digest, captures)
 
 
 class ExecutorCheckpoint:

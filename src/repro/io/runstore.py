@@ -41,7 +41,7 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
 
     The content lands under a dotted temp name in the same directory and
     is renamed over the target in one step, so readers — including a
-    ``fasea obs tail`` following the file from another terminal — never
+    ``fasea obs top`` following the file from another terminal — never
     observe a half-written document, and a crash mid-write leaves the
     previous version intact.
     """

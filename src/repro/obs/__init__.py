@@ -18,7 +18,7 @@ Usage::
 Sinks: ``metrics.json`` / ``trace.jsonl`` next to each run
 (:func:`repro.io.runstore.persist_run_telemetry`), the crash-safe
 streaming sink (:class:`StreamingSink`), and the ``fasea obs
-summary|trace|diff|tail|health|top|profile|replay|ope`` CLI verbs
+summary|trace|diff|health|top|profile|replay|ope`` CLI verbs
 (:mod:`repro.obs.cli`).  The deterministic sampling profiler lives in
 :mod:`repro.obs.profile`; the bench history lives in
 ``perfbench/``.
@@ -58,7 +58,7 @@ from repro.obs.flight import (
     rng_fingerprint,
 )
 from repro.obs.profile import Profile, ProfileConfig, load_profile, write_profile
-from repro.obs.stream import StreamingSink, run_tail, tail_lines
+from repro.obs.stream import StreamingSink
 from repro.obs.trace import (
     append_trace_jsonl,
     read_trace_jsonl,
@@ -97,12 +97,10 @@ __all__ = [
     "policy_digests",
     "read_trace_jsonl",
     "rng_fingerprint",
-    "run_tail",
     "set_current",
     "snapshot_from_json",
     "snapshot_to_json",
     "span_tree_lines",
-    "tail_lines",
     "use",
     "write_profile",
     "write_trace_jsonl",

@@ -16,9 +16,6 @@ Verbs over the artefacts written by
     Compare two snapshots metric-by-metric; exits non-zero when any
     value moved by more than ``--tolerance`` (relative) or a metric
     appears/disappears.
-``tail``
-    Live-follow a (possibly still running) run directory: re-render the
-    health block whenever the streaming sink rotates ``metrics.json``.
 ``health``
     Per-policy learning-health report: changepoint detections, the
     capacity-cliff onset/complete rounds and the alert history, from
@@ -27,8 +24,9 @@ Verbs over the artefacts written by
     json`` and ``--html`` (inline-SVG single file) for machines.
 ``top``
     Curses-free live dashboard: follow the streaming sink and render
-    reward sparklines, detector status and the most recent alerts;
-    ``--once`` renders a single frame for CI.
+    the counters, reward sparklines, the last θ̂-drift point and oracle
+    fill-rate mean per policy, detector status and the most recent
+    alerts; ``--once`` renders a single frame for CI.
 ``profile``
     Render a run's deterministic sampling profile as a hottest-first
     table, or emit flamegraph.pl-compatible folded stacks
@@ -350,26 +348,6 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
     diff.add_argument("--quiet", action="store_true", help=argparse.SUPPRESS)
 
-    tail = verbs.add_parser(
-        "tail", help="live-follow a run directory's metrics.json"
-    )
-    tail.add_argument("target", help="run directory or metrics.json file")
-    tail.add_argument(
-        "--interval", type=float, default=1.0, help="poll interval in seconds"
-    )
-    tail.add_argument(
-        "--once",
-        action="store_true",
-        help="render the current snapshot once and exit",
-    )
-    tail.add_argument(
-        "--max-updates",
-        type=int,
-        default=None,
-        help="stop after this many re-renders (default: follow forever)",
-    )
-    tail.add_argument("--quiet", action="store_true", help=argparse.SUPPRESS)
-
     health = verbs.add_parser(
         "health",
         help="per-policy learning-health report (detections + alerts)",
@@ -503,8 +481,6 @@ def run_obs(args: argparse.Namespace, console: Optional[Console] = None) -> int:
             return _trace(args, console)
         if args.obs_command == "diff":
             return _diff(args, console)
-        if args.obs_command == "tail":
-            return _tail(args, console)
         if args.obs_command == "health":
             return _health(args, console)
         if args.obs_command == "top":
@@ -594,16 +570,6 @@ def _diff(args: argparse.Namespace, console: Console) -> int:
         console.data(line)
     console.warn(f"{len(lines)} metric(s) drifted")
     return 1
-
-
-def _tail(args: argparse.Namespace, console: Console) -> int:
-    from repro.obs.stream import run_tail
-
-    _check_interval(args.interval)
-    max_updates = 1 if args.once else args.max_updates
-    return run_tail(
-        args.target, console, interval=args.interval, max_updates=max_updates
-    )
 
 
 def _health(args: argparse.Namespace, console: Console) -> int:

@@ -17,8 +17,9 @@ Two consumption surfaces over the learning-health artefacts
     A curses-free live dashboard for a running (or finished) run: poll
     the streaming sink's ``metrics.json`` and *follow* ``trace.jsonl``
     and ``alerts.jsonl`` incrementally, re-rendering a compact block —
-    per-policy reward sparklines, detector status, the most recent
-    alerts — whenever anything changes.  ``--once`` renders a single
+    the counters, per-policy reward sparklines, last θ̂-drift points and
+    oracle fill rates, detector status, the most recent alerts —
+    whenever anything changes.  ``--once`` renders a single
     frame and exits (the CI mode).
 
 The file followers use :class:`JsonlFollower`: a byte-offset reader
@@ -43,6 +44,7 @@ from repro.obs.health import (
     HEALTH_SCHEMA_VERSION,
     POLICY_METRIC_PREFIX,
     REWARD_SUFFIX,
+    THETA_DRIFT_SUFFIX,
     events_from_snapshot,
     load_health,
     summarize_events,
@@ -366,27 +368,63 @@ def write_health_html(
 # ----------------------------------------------------------------------
 # obs top — live dashboard
 # ----------------------------------------------------------------------
+#: The per-policy oracle fill-rate histogram (``policy.<label>.oracle.fill_rate``).
+FILL_RATE_SUFFIX = ".oracle.fill_rate"
+
+
+def _policy_metrics(names: Sequence[str], suffix: str) -> List[Tuple[str, str]]:
+    """``(policy label, metric name)`` for each ``policy.<label><suffix>``."""
+    return [
+        (name[len(POLICY_METRIC_PREFIX) : -len(suffix)], name)
+        for name in sorted(names)
+        if name.startswith(POLICY_METRIC_PREFIX) and name.endswith(suffix)
+    ]
+
+
 def top_lines(
     snapshot: MetricsSnapshot,
     health_events: Sequence[Dict[str, Any]],
     alerts: Sequence[Dict[str, Any]],
 ) -> List[str]:
-    """One dashboard frame: sparklines, detector status, recent alerts."""
+    """One dashboard frame: the counters, reward sparklines, each
+    policy's last θ̂-drift point and oracle fill-rate mean, detector
+    status and recent alerts."""
     lines: List[str] = []
-    reward_series: List[Tuple[str, Sequence[Sequence[float]]]] = []
-    for name in sorted(snapshot.series):
-        if name.startswith(POLICY_METRIC_PREFIX) and name.endswith(REWARD_SUFFIX):
-            label = name[len(POLICY_METRIC_PREFIX) : -len(REWARD_SUFFIX)]
-            reward_series.append((label, snapshot.series[name]))
-    if reward_series:
+    if snapshot.counters:
+        counters = "  ".join(
+            f"{name}={value:g}" for name, value in sorted(snapshot.counters.items())
+        )
+        lines.append(f"counters: {counters}")
+    rewards = _policy_metrics(list(snapshot.series), REWARD_SUFFIX)
+    if rewards:
         lines.append("reward (sparkline over the series tail):")
-        for label, points in reward_series:
-            values = [float(value) for _, value in points]
+        for label, name in rewards:
+            values = [float(value) for _, value in snapshot.series[name]]
             last = values[-1] if values else 0.0
             lines.append(
                 f"  {label:<12} {text_sparkline(values):<{SPARK_WIDTH}} "
                 f"last={last:g}  n={len(values)}"
             )
+    drifts = [
+        (label, snapshot.series[name])
+        for label, name in _policy_metrics(list(snapshot.series), THETA_DRIFT_SUFFIX)
+        if snapshot.series[name]
+    ]
+    if drifts:
+        lines.append("theta_drift (last point per policy):")
+        for label, points in drifts:
+            step, value = points[-1]
+            lines.append(
+                f"  {label:<12} t={int(step):<8} last={value:.6g}  n={len(points)}"
+            )
+    fills = _policy_metrics(list(snapshot.histograms), FILL_RATE_SUFFIX)
+    if fills:
+        lines.append("oracle fill rate:")
+        for label, name in fills:
+            payload = snapshot.histograms[name]
+            count = int(payload.get("count", 0))
+            mean = float(payload.get("sum", 0.0)) / count if count else 0.0
+            lines.append(f"  {label:<12} mean={mean:.4f}  n={count}")
     summary = summarize_events(list(health_events))
     if summary:
         lines.append("health detectors:")
@@ -424,11 +462,12 @@ def run_top(
 ) -> int:
     """Follow a run directory live, re-rendering the dashboard on change.
 
-    Mirrors :func:`repro.obs.stream.run_tail`: poll ``metrics.json``'s
-    mtime on ``interval`` and additionally drain the ``trace.jsonl`` /
-    ``alerts.jsonl`` followers; a frame renders whenever the snapshot
-    rotated or new records arrived.  ``max_updates=1`` is the ``--once``
-    CI mode; ``None`` follows until interrupted.
+    Polls ``metrics.json``'s mtime on ``interval`` and drains the
+    ``trace.jsonl`` / ``alerts.jsonl`` followers; a frame renders
+    whenever the snapshot rotated or new records arrived.
+    ``max_updates=1`` is the ``--once`` CI mode; ``None`` follows until
+    interrupted.  A ``target`` that does not exist raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     import time as _time
 
@@ -436,6 +475,8 @@ def run_top(
 
     sleep = sleep if sleep is not None else _time.sleep
     directory = Path(target)
+    if not directory.exists():
+        raise ConfigurationError(f"no run directory at {directory}")
     if directory.is_file():
         directory = directory.parent
     metrics_path = directory / METRICS_FILENAME

@@ -1,4 +1,4 @@
-"""Streaming telemetry sinks: crash-safe incremental flushing + tail.
+"""Streaming telemetry sinks: crash-safe incremental flushing.
 
 PR 3's sinks wrote ``metrics.json``/``trace.jsonl`` once, *after* a run
 finished — a killed 10⁶-round fleet run left nothing.  This module
@@ -11,10 +11,10 @@ makes telemetry durable **while the run is alive**:
   ``fsync``'d).  A SIGKILL at any instant therefore leaves the last
   published snapshot plus a trace whose longest valid prefix parses —
   ``tests/test_obs_stream.py`` proves both.
-* :func:`tail_lines` / :func:`run_tail` implement ``fasea obs tail
-  <dir>``: live-follow the counters, per-policy reward/θ̂-drift and
-  oracle fill-rate of a running (or finished) experiment from another
-  terminal, re-rendering whenever the snapshot rotates.
+* ``fasea obs top <dir>`` (:mod:`repro.obs.dashboard`) follows those
+  files from another terminal: the counters, per-policy reward/θ̂-drift
+  and oracle fill-rate of a running (or finished) experiment,
+  re-rendered whenever the snapshot rotates.
 
 Flush cadence is configurable in **rounds** and **seconds** (whichever
 fires first); the cadence check is two integer comparisons on the
@@ -30,12 +30,11 @@ with streaming on or off.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Optional, Union
 
 from repro.exceptions import ConfigurationError
 from repro.obs.clock import monotonic
-from repro.obs.console import Console
-from repro.obs.core import InstrumentationLike, MetricsSnapshot
+from repro.obs.core import InstrumentationLike
 
 #: Default flush cadence: every this many rounds ...
 DEFAULT_FLUSH_ROUNDS = 200
@@ -182,106 +181,3 @@ class StreamingSink:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# fasea obs tail
-# ----------------------------------------------------------------------
-def _series_tail(
-    snapshot: MetricsSnapshot, suffix: str
-) -> List[str]:
-    lines: List[str] = []
-    for name in sorted(snapshot.series):
-        if not (name.startswith("policy.") and name.endswith(suffix)):
-            continue
-        label = name[len("policy.") : -len(suffix)]
-        points = snapshot.series[name]
-        if not points:
-            continue
-        step, value = points[-1]
-        lines.append(f"  {label:<12} t={int(step):<8} last={value:.6g}  n={len(points)}")
-    return lines
-
-
-def tail_lines(snapshot: MetricsSnapshot) -> List[str]:
-    """One compact live-status block for ``fasea obs tail``.
-
-    Shows the counters, the last point of each per-policy reward and
-    θ̂-drift series, and each policy's oracle fill rate (histogram
-    mean) — the three signals that say "is this long run healthy".
-    """
-    lines: List[str] = []
-    if snapshot.counters:
-        counters = "  ".join(
-            f"{name}={value:g}" for name, value in sorted(snapshot.counters.items())
-        )
-        lines.append(f"counters: {counters}")
-    reward = _series_tail(snapshot, ".reward")
-    if reward:
-        lines.append("reward (last point per policy):")
-        lines.extend(reward)
-    drift = _series_tail(snapshot, ".theta_drift")
-    if drift:
-        lines.append("theta_drift (last point per policy):")
-        lines.extend(drift)
-    fill: List[str] = []
-    for name in sorted(snapshot.histograms):
-        if not (name.startswith("policy.") and name.endswith(".oracle.fill_rate")):
-            continue
-        label = name[len("policy.") : -len(".oracle.fill_rate")]
-        payload = snapshot.histograms[name]
-        count = int(payload.get("count", 0))
-        mean = float(payload.get("sum", 0.0)) / count if count else 0.0
-        fill.append(f"  {label:<12} mean={mean:.4f}  n={count}")
-    if fill:
-        lines.append("oracle fill rate:")
-        lines.extend(fill)
-    if not lines:
-        lines.append("(snapshot is empty)")
-    return lines
-
-
-def run_tail(
-    target: Union[str, Path],
-    console: Console,
-    interval: float = 1.0,
-    max_updates: Optional[int] = None,
-    sleep: Optional[Callable[[float], None]] = None,
-) -> int:
-    """Follow a run directory's ``metrics.json``, re-rendering on change.
-
-    Polls the snapshot's mtime every ``interval`` seconds and renders a
-    :func:`tail_lines` block whenever it rotates (the sink's atomic
-    ``os.replace`` makes every observed file complete).  ``max_updates``
-    bounds the number of renders (``1`` = snapshot once and exit, the
-    ``--once`` behaviour); ``None`` follows until interrupted.
-    """
-    import time as _time
-
-    from repro.obs.export import snapshot_from_json
-
-    sleep = sleep if sleep is not None else _time.sleep
-    directory = Path(target)
-    metrics_path = directory / "metrics.json" if directory.is_dir() else directory
-    rendered = 0
-    last_mtime: Optional[float] = None
-    try:
-        while True:
-            if metrics_path.is_file():
-                mtime = metrics_path.stat().st_mtime_ns
-                if mtime != last_mtime:
-                    last_mtime = mtime
-                    snapshot = snapshot_from_json(
-                        metrics_path.read_text(encoding="utf-8")
-                    )
-                    rendered += 1
-                    console.info(f"--- update {rendered}: {metrics_path} ---")
-                    for line in tail_lines(snapshot):
-                        console.data(line)
-                    if max_updates is not None and rendered >= max_updates:
-                        return 0
-            elif max_updates is not None and max_updates <= 0:
-                return 0
-            sleep(interval)
-    except KeyboardInterrupt:
-        return 0

@@ -157,7 +157,7 @@ def open_run_checkpointer(
       to a log that already holds the pre-crash records; checkpointing
       requires an in-memory buffer whose contents travel inside the
       checkpoint and are replayed exactly — which is what the executor's
-      isolated-cell mode provides).
+      outcome path provides).
     """
     from repro.io.checkpoint import RunCheckpointer
 
@@ -322,6 +322,14 @@ def play_fleet(
         checkpointer = open_run_checkpointer(checkpoint, obs, recording, flight)
         stored = checkpointer.load()
         if stored is not None:
+            saved = ("obs" in stored, "flight" in stored)
+            if saved != (instrumented, recording):
+                raise ConfigurationError(
+                    f"round checkpoint {checkpoint.key!r} in {checkpoint.directory} "
+                    f"was saved with (telemetry, flight) = {saved}, but this run "
+                    f"records {(instrumented, recording)}; resume under the "
+                    "telemetry setting of the run that wrote it"
+                )
             start_round = int(stored["t"][0])
             if start_round > horizon:
                 raise ConfigurationError(

@@ -238,6 +238,21 @@ def test_merge_trace_appends_copies():
     assert merged == record and merged is not record
 
 
+def test_merge_trace_nests_roots_under_the_open_span():
+    worker = Instrumentation()
+    with worker.span("unit"):
+        worker.event("inside")
+    worker.event("outside")
+    obs = Instrumentation()
+    with obs.span("outer"):
+        obs.merge_trace(worker.trace_records())
+    records = {record["name"]: record for record in obs.trace_records()}
+    outer = records["outer"]["span_id"]
+    assert records["unit"]["parent_id"] == outer
+    assert records["inside"]["span_id"] == records["unit"]["span_id"] != outer
+    assert records["outside"]["span_id"] == outer
+
+
 # ----------------------------------------------------------------------
 # Null instrumentation + process-local registry
 # ----------------------------------------------------------------------

@@ -283,8 +283,8 @@ def _executor_step_counts(config, jobs, keep_going=False):
     obs.profile_config = ProfileConfig(sample_every=8)
     with use(obs):
         run_work_units(run_replication_cell, cells, jobs=jobs, keep_going=keep_going)
-    # Serial units nest under the parent's ``run_work_units`` span; pool
-    # workers' spans merge in as roots.
+    # Every unit's spans nest under the parent's ``run_work_units`` span;
+    # compare the stacks from the fleet span down.
     return {
         stack[stack.index("run_policy_fleet") :]: stat.count
         for stack, stat in Profile.from_trace_records(obs.trace_records()).stacks.items()

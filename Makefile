@@ -21,7 +21,8 @@ analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze src
 
 # Quickstart equivalence checks (the CI equivalence job): health alert
-# onset, byte-identical decision/alert logs across runs and --jobs 4,
+# onset, byte-identical decision/alert logs across runs and --jobs 4
+# (quickstart) and --jobs 1/2 (replicate, health.json too),
 # replay/diff/ope, and SIGKILL-then-resume serially and with --jobs 4.
 equivalence:
 	PYTHONPATH=src bash devtools/equivalence.sh

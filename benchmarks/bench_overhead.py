@@ -40,7 +40,6 @@ from repro.bandits.base import RoundView
 from repro.bandits.ucb import UcbPolicy
 from repro.datasets.synthetic import SyntheticConfig, SyntheticWorld, build_world
 from repro.io.checkpoint import CellCheckpointSpec
-from repro.obs.alerts import DEFAULT_ALERT_RULES, AlertBuffer, AlertEngine
 from repro.obs.core import NULL_OBS, Instrumentation
 from repro.obs.flight import FlightBuffer, decision_record
 from repro.obs.health import HealthMonitor
@@ -180,7 +179,7 @@ def _flight_guard(policy: UcbPolicy, views: list) -> Callable[[], None]:
 
 def _health_guard(policy: UcbPolicy, views: list) -> Callable[[], None]:
     obs = Instrumentation()
-    engine = getattr(obs, "alert_engine", None)
+    round_monitor = getattr(obs, "health_monitor", None)
 
     def run_guarded() -> None:
         # The exact guard shape of fleet._record_policy_round + the
@@ -190,8 +189,8 @@ def _health_guard(policy: UcbPolicy, views: list) -> Callable[[], None]:
             monitor = getattr(obs, "health_monitor", None)
             if monitor is not None:  # pragma: no cover - off in this gate
                 monitor.observe_round(obs, policy.name, 0, 0.0)
-            if engine is not None:  # pragma: no cover - off in this gate
-                engine.evaluate_round(obs, 0)
+            if round_monitor is not None:  # pragma: no cover - off in this gate
+                round_monitor.end_round(0)
 
     return run_guarded
 
@@ -384,13 +383,11 @@ def _health_runs(world: SyntheticWorld) -> Tuple[Runs, dict]:
     """Instrumented runs without and with the health monitor and alerts."""
     obs = Instrumentation()
     obs.health_monitor = HealthMonitor()
-    buffer = AlertBuffer()
-    obs.alert_engine = AlertEngine(DEFAULT_ALERT_RULES, buffer)
     runs = {"health_off": _play(world, obs=Instrumentation()), "health_on": _play(world, obs=obs)}
     return runs, {
         "health_horizon": world.config.horizon,
         "health_events": len(obs.health_monitor.events),
-        "alert_firings": len(buffer.records),
+        "alert_firings": len(obs.health_monitor.alerts.records),
     }
 
 

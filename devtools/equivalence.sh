@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Quickstart equivalence checks: the learning-health gate, the flight
 # recorder's replay equivalence and crash-safe checkpoint/resume
-# (DESIGN.md §5.11-§5.13), on 8 quickstart runs under results/equivalence.
+# (DESIGN.md §5.11-§5.13), on 8 quickstart and 2 replicate runs under
+# results/equivalence.
 #
 #   bash devtools/equivalence.sh          # after pip install -e .
 #   make equivalence                      # from a source checkout
@@ -88,6 +89,19 @@ step "decision and alert logs are byte-identical across runs and workers"
 for log in decisions.jsonl alerts.jsonl; do
     cmp "$OUT/flight-a/$log" "$OUT/flight-b/$log" || fail "$log differs: serial-a vs serial-b"
     cmp "$OUT/flight-a/$log" "$OUT/flight-jobs4/$log" || fail "$log differs: serial-a vs --jobs 4"
+done
+
+step "replicate health and flight logs are byte-identical at --jobs 1 and 2"
+# Replicate runs several cells through one serial executor call, so the
+# health monitor's per-cell reset (begin_cell) decides what --jobs 1 logs.
+for jobs in 1 2; do
+    fasea replicate --seeds 2 --horizon 600 --jobs "$jobs" --health \
+        --flight "$OUT/replicate-jobs$jobs" > /dev/null || fail "replicate --jobs $jobs"
+done
+[ -s "$OUT/replicate-jobs1/alerts.jsonl" ] || fail "replicate wrote no alerts"
+for log in decisions.jsonl alerts.jsonl health.json; do
+    cmp "$OUT/replicate-jobs1/$log" "$OUT/replicate-jobs2/$log" \
+        || fail "$log differs: replicate --jobs 1 vs --jobs 2"
 done
 
 step "replay, diff and off-policy evaluation"

@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.exceptions import ConfigurationError
 from repro.experiments import get_experiment, list_experiments, render_result, save_result
 
 
@@ -81,16 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--health",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="ALERTS_TOML",
+        action="store_true",
         help=(
-            "enable the learning-health monitor and alert engine (implies "
-            "--obs): online changepoint detectors write health.json and "
-            "rule firings append to alerts.jsonl next to each "
-            "experiment's reports; pass an alerts.toml to replace the "
-            "built-in rules"
+            "enable the learning-health monitor (implies --obs): online "
+            "changepoint detectors write health.json and the built-in "
+            "alerts append to alerts.jsonl next to each experiment's "
+            "reports"
         ),
     )
     _add_checkpoint_arguments(
@@ -133,16 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     quickstart.add_argument(
         "--health",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="ALERTS_TOML",
+        action="store_true",
         help=(
-            "enable the learning-health monitor and alert engine (implies "
-            "--obs): writes health.json + alerts.jsonl under --out; "
-            "inspect with 'fasea obs health <out>' or follow live with "
-            "'fasea obs top <out>'; pass an alerts.toml to replace the "
-            "built-in rules"
+            "enable the learning-health monitor (implies --obs): writes "
+            "health.json + alerts.jsonl under --out; inspect with 'fasea "
+            "obs health <out>' or follow live with 'fasea obs top <out>'"
         ),
     )
     quickstart.add_argument(
@@ -201,14 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replicate.add_argument(
         "--health",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="ALERTS_TOML",
+        action="store_true",
         help=(
             "enable the learning-health monitor (requires --flight DIR: "
-            "health.json + alerts.jsonl are written there); pass an "
-            "alerts.toml to replace the built-in rules"
+            "health.json + alerts.jsonl are written there)"
         ),
     )
     _add_checkpoint_arguments(
@@ -341,7 +329,7 @@ def _resolve_checkpointing(
     args: argparse.Namespace,
     default_dir: Path,
     payload: dict,
-    health_arg: "Optional[str]",
+    health: bool,
 ) -> "tuple[Optional[Path], int, bool]":
     """Shared --checkpoint/--resume resolution for run/quickstart/replicate.
 
@@ -351,14 +339,13 @@ def _resolve_checkpointing(
     mismatches reported together) and the cadence is taken from it —
     the resumed run must save on exactly the grid the original did.
     """
-    from repro.exceptions import ConfigurationError
     from repro.io.checkpoint import check_manifest, write_manifest
 
     checkpoint_every = getattr(args, "checkpoint", None)
     resume_dir = getattr(args, "resume", None)
     if checkpoint_every is None and resume_dir is None:
         return None, 0, False
-    if health_arg is not None:
+    if health:
         raise ConfigurationError(
             "--checkpoint cannot be combined with --health: round "
             "checkpoints cannot capture detector/alert window state"
@@ -376,28 +363,18 @@ def _resolve_checkpointing(
     return directory, int(checkpoint_every), False
 
 
-def _attach_health(obs: "object", health_arg: str, directory: "object"):
-    """Attach the health monitor + alert engine (crash-safe log) to ``obs``.
+def _attach_health(obs: "object", directory: "object"):
+    """Attach a health monitor writing ``alerts.jsonl`` in ``directory``.
 
-    ``health_arg`` is the ``--health`` value: an alerts.toml path, or the
-    empty string for the built-in rule set.  Returns ``(monitor, log)``;
-    the caller must ``log.close()`` in its ``finally`` and call
-    :func:`repro.obs.health.persist_health` after the run.
+    The caller must ``monitor.alerts.close()`` in its ``finally`` and
+    call :func:`repro.obs.health.persist_health` after the run.
     """
-    from repro.obs.alerts import (
-        DEFAULT_ALERT_RULES,
-        AlertEngine,
-        AlertLog,
-        load_alert_rules,
-    )
-    from repro.obs.health import HealthMonitor
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.health import ALERTS_FILENAME, HealthMonitor
 
-    rules = load_alert_rules(health_arg) if health_arg else DEFAULT_ALERT_RULES
-    monitor = HealthMonitor()
-    log = AlertLog(directory)
+    monitor = HealthMonitor(FlightRecorder(directory, filename=ALERTS_FILENAME))
     obs.health_monitor = monitor
-    obs.alert_engine = AlertEngine(rules, log)
-    return monitor, log
+    return monitor
 
 
 def _run_experiments(args: argparse.Namespace) -> int:
@@ -406,12 +383,12 @@ def _run_experiments(args: argparse.Namespace) -> int:
     console = Console(quiet=args.quiet)
     profile_every = getattr(args, "profile", None)
     stream_enabled = bool(getattr(args, "stream", False))
-    health_arg = getattr(args, "health", None)
+    health = bool(getattr(args, "health", False))
     record_obs = (
         bool(getattr(args, "obs", False))
         or profile_every is not None
         or stream_enabled
-        or health_arg is not None
+        or health
     )
     ids = list_experiments() if "all" in args.ids else args.ids
     outdir = Path(args.out)
@@ -425,7 +402,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "horizon": args.horizon,
         },
-        health_arg,
+        health,
     )
     for experiment_id in ids:
         runner = get_experiment(experiment_id)
@@ -473,11 +450,8 @@ def _run_experiments(args: argparse.Namespace) -> int:
                 stream_sink = StreamingSink(outdir / experiment_id, obs)
                 obs.stream_sink = stream_sink
             health_monitor = None
-            alert_log = None
-            if health_arg is not None:
-                health_monitor, alert_log = _attach_health(
-                    obs, health_arg, outdir / experiment_id
-                )
+            if health:
+                health_monitor = _attach_health(obs, outdir / experiment_id)
             try:
                 with checkpoint_scope:
                     with obs.span("experiment", experiment_id=experiment_id):
@@ -486,8 +460,8 @@ def _run_experiments(args: argparse.Namespace) -> int:
             finally:
                 if stream_sink is not None:
                     stream_sink.close()
-                if alert_log is not None:
-                    alert_log.close()
+                if health_monitor is not None:
+                    health_monitor.alerts.close()
         else:
             obs = None
             with checkpoint_scope:
@@ -506,7 +480,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
                 console.info(
                     f"[{experiment_id}] health events: "
                     f"{len(health_monitor.events)}, alerts: "
-                    f"{alert_log.num_records}"
+                    f"{health_monitor.alerts.num_records}"
                 )
             if profile_every is not None:
                 from repro.obs.profile import Profile, write_profile
@@ -543,18 +517,17 @@ def _quickstart(args: argparse.Namespace) -> int:
     profile_every = getattr(args, "profile", None)
     stream_enabled = bool(getattr(args, "stream", False))
     flight_enabled = bool(getattr(args, "flight", False))
-    health_arg = getattr(args, "health", None)
+    health = bool(getattr(args, "health", False))
     record_obs = (
         bool(getattr(args, "obs", False))
         or profile_every is not None
         or stream_enabled
         or flight_enabled
-        or health_arg is not None
+        or health
     )
     stream_sink = None
     flight_recorder = None
     health_monitor = None
-    alert_log = None
     config = SyntheticConfig.scaled_default(seed=42)
     ckpt_dir, ckpt_every, resuming = _resolve_checkpointing(
         args,
@@ -568,7 +541,7 @@ def _quickstart(args: argparse.Namespace) -> int:
             "flight": flight_enabled,
             "obs": record_obs,
         },
-        health_arg,
+        health,
     )
     if record_obs:
         from repro.obs.core import Instrumentation
@@ -600,8 +573,8 @@ def _quickstart(args: argparse.Namespace) -> int:
                 ),
             )
             obs.flight_recorder = flight_recorder
-        if health_arg is not None:
-            health_monitor, alert_log = _attach_health(obs, health_arg, args.out)
+        if health:
+            health_monitor = _attach_health(obs, args.out)
     else:
         obs = NULL_OBS
     names = (OPT_KEY, *_QUICKSTART_POLICIES)
@@ -648,8 +621,8 @@ def _quickstart(args: argparse.Namespace) -> int:
             stream_sink.close()
         if flight_recorder is not None:
             flight_recorder.close()
-        if alert_log is not None:
-            alert_log.close()
+        if health_monitor is not None:
+            health_monitor.alerts.close()
     opt_history = histories[OPT_KEY]
     console.result("policy     accept_ratio  total_reward  regret_vs_OPT")
     for name in _QUICKSTART_POLICIES:
@@ -673,7 +646,7 @@ def _quickstart(args: argparse.Namespace) -> int:
             console.info(
                 f"health log in {health_path} "
                 f"({len(health_monitor.events)} events, "
-                f"{alert_log.num_records} alerts)"
+                f"{health_monitor.alerts.num_records} alerts)"
             )
         if profile_every is not None:
             from repro.obs.profile import Profile, write_profile
@@ -697,13 +670,9 @@ def _replicate(args: argparse.Namespace) -> int:
     store = RunStore(args.store) if args.store else None
     flight_recorder = None
     health_monitor = None
-    alert_log = None
-    health_arg = getattr(args, "health", None)
-    if health_arg is not None and not args.flight:
-        from repro.exceptions import ConfigurationError
-
+    if args.health and not args.flight:
         raise ConfigurationError(
-            "replicate --health requires --flight DIR (health.json and "
+            "--health requires --flight DIR (health.json and "
             "alerts.jsonl are written into the flight directory)"
         )
     ckpt_dir, ckpt_every, resuming = _resolve_checkpointing(
@@ -715,7 +684,7 @@ def _replicate(args: argparse.Namespace) -> int:
             "horizon": args.horizon,
             "flight": bool(args.flight),
         },
-        health_arg,
+        args.health,
     )
     obs = NULL_OBS
     if args.flight:
@@ -734,10 +703,8 @@ def _replicate(args: argparse.Namespace) -> int:
             ),
         )
         obs.flight_recorder = flight_recorder
-        if health_arg is not None:
-            health_monitor, alert_log = _attach_health(
-                obs, health_arg, args.flight
-            )
+        if args.health:
+            health_monitor = _attach_health(obs, args.flight)
     try:
         with use(obs):
             result = replicate_policies(
@@ -758,8 +725,8 @@ def _replicate(args: argparse.Namespace) -> int:
             store.close()
         if flight_recorder is not None:
             flight_recorder.close()
-        if alert_log is not None:
-            alert_log.close()
+        if health_monitor is not None:
+            health_monitor.alerts.close()
     if flight_recorder is not None:
         from repro.io.runstore import persist_run_telemetry
 
@@ -771,7 +738,7 @@ def _replicate(args: argparse.Namespace) -> int:
             persist_health(args.flight, health_monitor)
             print(
                 f"health log: {len(health_monitor.events)} events, "
-                f"{alert_log.num_records} alerts",
+                f"{health_monitor.alerts.num_records} alerts",
                 file=sys.stderr,
             )
     if result.failures:
@@ -807,6 +774,14 @@ def _replicate(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigurationError as error:
+        print(f"fasea {args.command}: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         print("\n".join(list_experiments()))
         return 0
@@ -886,14 +861,9 @@ def _export_damai(args: argparse.Namespace) -> int:
 
 
 def _claims(args: argparse.Namespace) -> int:
-    from repro.exceptions import ConfigurationError
     from repro.experiments.claims import run_claims
 
-    try:
-        results = run_claims(only=args.ids or None)
-    except ConfigurationError as error:
-        print(f"fasea claims: {error}", file=sys.stderr)
-        return 2
+    results = run_claims(only=args.ids or None)
     failures = 0
     for result in results:
         verdict = "REPRODUCED" if result.holds else "NOT REPRODUCED"

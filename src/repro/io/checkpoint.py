@@ -86,7 +86,7 @@ __all__ = [
 #: Bumped when the cell-checkpoint npz layout changes incompatibly.
 CHECKPOINT_SCHEMA_VERSION = 3
 #: Bumped when the pickled unit-cache layout changes incompatibly.
-UNIT_CACHE_SCHEMA_VERSION = 2
+UNIT_CACHE_SCHEMA_VERSION = 3
 #: The checkpoint directory's identity document.
 MANIFEST_FILENAME = "manifest.json"
 #: Default ``--checkpoint`` cadence (rounds between saves).

@@ -575,12 +575,12 @@ def _diff(args: argparse.Namespace, console: Console) -> int:
 def _health(args: argparse.Namespace, console: Console) -> int:
     import json
 
-    from repro.obs.alerts import load_alerts
     from repro.obs.dashboard import (
         load_health_document,
         render_health_text,
         write_health_html,
     )
+    from repro.obs.health import load_alerts
 
     payload = load_health_document(args.target)
     alerts = load_alerts(args.target, strict=False)

@@ -443,10 +443,9 @@ class Instrumentation:
         # Ambient decision flight recorder (repro.obs.flight); runners
         # fall back to it when their ``flight`` argument is None.
         self.flight_recorder: Optional[Any] = None
-        # Ambient learning-health monitor and alert engine
-        # (repro.obs.health / repro.obs.alerts); set by ``--health``.
+        # Ambient learning-health monitor (repro.obs.health), which
+        # also evaluates the built-in alerts; set by ``--health``.
         self.health_monitor: Optional[Any] = None
-        self.alert_engine: Optional[Any] = None
 
     # -- metric accessors ---------------------------------------------
     def _get(self, name: str, cls: type, *args: object) -> Any:
@@ -484,14 +483,6 @@ class Instrumentation:
         return self._get(name, Series)
 
     # -- registry introspection ---------------------------------------
-    def metric_names(self) -> List[str]:
-        """Sorted names of every registered metric (alert selectors)."""
-        return sorted(self._metrics)
-
-    def metric_count(self) -> int:
-        """Number of registered metrics (cheap cache-invalidation probe)."""
-        return len(self._metrics)
-
     def get_metric(self, name: str) -> Optional[Any]:
         """The live metric object registered under ``name``, or None."""
         return self._metrics.get(name)
@@ -707,12 +698,6 @@ class NullInstrumentation:
 
     def series(self, name: str) -> Series:
         return _NULL_METRIC  # type: ignore[return-value]
-
-    def metric_names(self) -> List[str]:
-        return []
-
-    def metric_count(self) -> int:
-        return 0
 
     def get_metric(self, name: str) -> Optional[Any]:
         return None

@@ -1,7 +1,7 @@
 """``fasea obs health`` / ``fasea obs top`` — health report & live dashboard.
 
 Two consumption surfaces over the learning-health artefacts
-(:mod:`repro.obs.health` / :mod:`repro.obs.alerts`):
+(:mod:`repro.obs.health`):
 
 ``obs health <dir>``
     Offline report: the per-policy health table (detection counts,
@@ -35,10 +35,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.obs.alerts import ALERTS_FILENAME, load_alerts
 from repro.obs.console import Console
 from repro.obs.core import MetricsSnapshot
 from repro.obs.health import (
+    ALERTS_FILENAME,
     HEALTH_EVENT_NAME,
     HEALTH_FILENAME,
     HEALTH_SCHEMA_VERSION,

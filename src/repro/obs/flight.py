@@ -13,7 +13,7 @@ Design points:
 * **Crash safety.**  Records are written one complete JSON document per
   line through the same machinery as the streaming trace sink: the file
   is atomically truncated at open, every record is flushed, and the
-  file is fsync'd every ``fsync_every_records`` records and on close.
+  file is fsync'd every 64 records and on close.
   A SIGKILL'd run leaves a longest-valid-prefix log that
   :func:`load_flight` recovers with ``strict=False``.
 
@@ -63,7 +63,7 @@ DECISIONS_FILENAME = "decisions.jsonl"
 # Fsync cadence for the streaming recorder: every N records (and always
 # on close).  Flushes happen per record, so at most the final partially
 # written line is lost on SIGKILL.
-DEFAULT_FSYNC_RECORDS = 64
+FSYNC_EVERY_RECORDS = 64
 
 FlightRecord = Dict[str, Any]
 
@@ -178,21 +178,15 @@ def record_line(record: FlightRecord) -> str:
 
 
 class FlightBuffer:
-    """In-memory recorder with the same API as :class:`FlightRecorder`.
+    """In-memory recorder with the ``record``/``extend`` API of :class:`FlightRecorder`.
 
     Used by parallel workers (records shipped back with the telemetry
-    snapshot), by replay (re-executed decisions land here for
-    comparison) and by benchmarks.
+    snapshot), by the health monitor's alerts, by replay (re-executed
+    decisions land here for comparison) and by benchmarks.
     """
 
-    def __init__(self, run: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self) -> None:
         self.records: List[FlightRecord] = []
-        if run is not None:
-            self.records.append(header_record(run))
-
-    @property
-    def closed(self) -> bool:
-        return False
 
     def record(self, record: FlightRecord) -> None:
         self.records.append(record)
@@ -200,41 +194,29 @@ class FlightBuffer:
     def extend(self, records: Iterable[FlightRecord]) -> None:
         self.records.extend(records)
 
-    def close(self) -> None:  # pragma: no cover - symmetry with FlightRecorder
-        pass
-
-    def __enter__(self) -> "FlightBuffer":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
 
 class FlightRecorder:
-    """Crash-safe streaming writer for ``decisions.jsonl``.
+    """Crash-safe streaming writer of one JSONL log in a run directory.
 
-    The log is truncated atomically at construction (a crash during
-    startup never leaves a stale log mixing two runs), then records are
-    appended one complete JSON line at a time.  Every record is flushed
-    to the OS; the file is fsync'd every ``fsync_every_records`` records
-    and unconditionally on :meth:`close`.
+    Writes ``decisions.jsonl`` by default and ``alerts.jsonl`` for the
+    health monitor (``filename``).  The log is truncated atomically at
+    construction (a crash during startup never leaves a stale log mixing
+    two runs), then records are appended one complete JSON line at a
+    time.  Every record is flushed to the OS; the file is fsync'd every
+    :data:`FSYNC_EVERY_RECORDS` records and unconditionally on
+    :meth:`close`.
     """
 
     def __init__(
         self,
         directory: Union[str, Path],
         run: Optional[Dict[str, Any]] = None,
-        fsync_every_records: int = DEFAULT_FSYNC_RECORDS,
+        *,
+        filename: str = DECISIONS_FILENAME,
     ) -> None:
-        if fsync_every_records < 1:
-            raise ConfigurationError(
-                "fsync_every_records must be >= 1, got "
-                f"{fsync_every_records}"
-            )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / DECISIONS_FILENAME
-        self.fsync_every_records = int(fsync_every_records)
+        self.path = self.directory / filename
         self._records_since_fsync = 0
         self._num_records = 0
         self._closed = False
@@ -247,22 +229,18 @@ class FlightRecorder:
             self.record(header_record(run))
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
     def num_records(self) -> int:
         return self._num_records
 
     def record(self, record: FlightRecord) -> None:
         if self._closed or self._handle is None:
-            raise ConfigurationError("FlightRecorder is closed")
+            raise ConfigurationError(f"the {self.path.name} writer is closed")
         self._handle.write(record_line(record))
         self._handle.write("\n")
         self._handle.flush()
         self._num_records += 1
         self._records_since_fsync += 1
-        if self._records_since_fsync >= self.fsync_every_records:
+        if self._records_since_fsync >= FSYNC_EVERY_RECORDS:
             os.fsync(self._handle.fileno())
             self._records_since_fsync = 0
 

@@ -6,7 +6,8 @@ event capacities (Section 6) — are visible in the per-policy telemetry
 *while a run is in flight*: the reward series shifts level, θ̂-drift
 stops contracting, the oracle fill rate leaves its band, and the
 ``capacity_exhausted`` series starts ticking.  This module watches all
-four signals online with classic sequential detectors:
+four signals online with classic sequential detectors and evaluates
+the three built-in alerts over them:
 
 ``PageHinkley``
     The Page–Hinkley test: accumulate ``m_t = Σ (x_i - x̄_i - δ)`` and
@@ -32,9 +33,12 @@ four signals online with classic sequential detectors:
 
 Every detection becomes a schema-versioned ``HealthEvent`` dict —
 recorded into the trace (``obs.event``) *and* kept on the monitor for
-the ``health.json`` sink.  Events carry **no wall-clock fields**, so
-``health.json`` is byte-identical across runs and worker counts (the
-parallel executor drains worker events in submission order).
+the ``health.json`` sink.  The alerts — ``capacity-exhaustion`` on each
+cliff mark, ``reward-collapse`` and ``theta-divergence`` on the reward
+and drift signals — append to ``alerts.jsonl``.  Events and alerts
+carry **no wall-clock fields**, so both logs are byte-identical across
+runs and worker counts (the parallel executor merges worker events and
+alerts in submission order).
 
 Determinism contract: detectors are pure functions of the observed
 series — no RNG is ever touched, rewards are bit-identical with the
@@ -46,9 +50,11 @@ per instrumented round (gated ≤3% by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.exceptions import ConfigurationError, SchemaError
 
@@ -64,7 +70,7 @@ HEALTH_EVENT_NAME = "health"
 # ----------------------------------------------------------------------
 # Canonical metric names (FAS016: emit sites must use these constants).
 # The runner, the fleet runner, the obs CLI and the detectors all
-# reference the same definitions, so an alert rule that selects
+# reference the same definitions, so a reader of
 # ``policy.*.capacity_exhausted`` can never drift from the emit site.
 # ----------------------------------------------------------------------
 #: Prefix of every per-policy metric (see ``Policy.obs_name``).
@@ -84,49 +90,51 @@ REWARD_SUFFIX = "." + REWARD_METRIC
 THETA_DRIFT_SUFFIX = "." + THETA_DRIFT_METRIC
 FILL_RATE_SERIES_SUFFIX = "." + FILL_RATE_SERIES_METRIC
 
-#: Detector identifiers carried by health events and alert rules.
+#: Detector identifiers carried by health events and alerts.
 PAGE_HINKLEY_DETECTOR = "page_hinkley"
 CUSUM_DETECTOR = "cusum"
 EWMA_BAND_DETECTOR = "ewma_band"
 CAPACITY_CLIFF_DETECTOR = "capacity_cliff"
 
 HealthEvent = Dict[str, Any]
+AlertRecord = Dict[str, Any]
 
 
 # ----------------------------------------------------------------------
-# Configuration
+# Detector constants, sized for the per-round reward/θ̂-drift scales of
+# the FASEA workloads (rewards in ``[0, c_u]``, drift in ``[0, ‖θ‖]``):
+# conservative enough that a healthy quickstart records changepoints
+# only where the learning dynamics genuinely shift.
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class HealthConfig:
-    """Detector knobs (frozen → hashable, picklable into workers).
+PH_DELTA = 0.005
+PH_THRESHOLD = 50.0
+PH_BURN_IN = 50
+CUSUM_WINDOW = 100
+CUSUM_THRESHOLD = 10.0
+CUSUM_DRIFT = 0.5
+EWMA_ALPHA = 0.05
+EWMA_K = 5.0
+EWMA_BURN_IN = 50
 
-    Defaults are sized for the per-round reward/θ̂-drift scales of the
-    FASEA workloads (rewards in ``[0, c_u]``, drift in ``[0, ‖θ‖]``):
-    conservative enough that a healthy quickstart records changepoints
-    only where the learning dynamics genuinely shift.
-    """
-
-    ph_delta: float = 0.005
-    ph_threshold: float = 50.0
-    ph_burn_in: int = 50
-    cusum_window: int = 100
-    cusum_threshold: float = 10.0
-    cusum_drift: float = 0.5
-    ewma_alpha: float = 0.05
-    ewma_k: float = 5.0
-    ewma_burn_in: int = 50
-
-    def __post_init__(self) -> None:
-        if self.ph_threshold <= 0 or self.cusum_threshold <= 0:
-            raise ConfigurationError("detector thresholds must be > 0")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ConfigurationError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.cusum_window < 2:
-            raise ConfigurationError(
-                f"cusum_window must be >= 2, got {self.cusum_window}"
-            )
+# ----------------------------------------------------------------------
+# The built-in alerts (``alerts.jsonl``)
+# ----------------------------------------------------------------------
+#: Major schema version of ``alerts.jsonl`` firing records.
+ALERTS_SCHEMA_VERSION = 1
+#: Filename of the alert log inside a run directory.
+ALERTS_FILENAME = "alerts.jsonl"
+#: Fires on every capacity-cliff event (onset and completion).
+CAPACITY_EXHAUSTION_ALERT = "capacity-exhaustion"
+#: Fires when the mean of a policy's last ``REWARD_COLLAPSE_WINDOW``
+#: rewards in the cell drops below ``REWARD_COLLAPSE_BELOW``.
+REWARD_COLLAPSE_ALERT = "reward-collapse"
+REWARD_COLLAPSE_WINDOW = 200
+REWARD_COLLAPSE_BELOW = 0.05
+#: Fires when a policy's last θ̂ drift rises above
+#: ``THETA_DIVERGENCE_ABOVE`` (``‖θ‖ <= 1``, so a sane estimate stays
+#: far below it).
+THETA_DIVERGENCE_ALERT = "theta-divergence"
+THETA_DIVERGENCE_ABOVE = 10.0
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +154,10 @@ class PageHinkley:
                  "cum", "min_cum", "max_cum")
 
     def __init__(
-        self, delta: float = 0.005, threshold: float = 50.0, burn_in: int = 50
+        self,
+        delta: float = PH_DELTA,
+        threshold: float = PH_THRESHOLD,
+        burn_in: int = PH_BURN_IN,
     ) -> None:
         self.delta = float(delta)
         self.threshold = float(threshold)
@@ -192,7 +203,10 @@ class WindowedCusum:
     __slots__ = ("window", "threshold", "drift", "values", "pos", "neg")
 
     def __init__(
-        self, window: int = 100, threshold: float = 10.0, drift: float = 0.5
+        self,
+        window: int = CUSUM_WINDOW,
+        threshold: float = CUSUM_THRESHOLD,
+        drift: float = CUSUM_DRIFT,
     ) -> None:
         self.window = int(window)
         self.threshold = float(threshold)
@@ -233,7 +247,10 @@ class EwmaBand:
     __slots__ = ("alpha", "k", "burn_in", "count", "mean", "var")
 
     def __init__(
-        self, alpha: float = 0.05, k: float = 5.0, burn_in: int = 50
+        self,
+        alpha: float = EWMA_ALPHA,
+        k: float = EWMA_K,
+        burn_in: int = EWMA_BURN_IN,
     ) -> None:
         self.alpha = float(alpha)
         self.k = float(k)
@@ -381,71 +398,93 @@ def health_event(
 
 
 class _PolicyDetectors:
-    """The per-policy detector bank the monitor updates each round."""
+    """One policy's detector bank and built-in alert state."""
 
     __slots__ = ("ph_reward", "ph_drift", "cusum_reward", "cusum_drift",
-                 "ewma_fill", "cliff")
+                 "ewma_fill", "cliff", "rewards", "drift", "collapsed",
+                 "diverged")
 
-    def __init__(self, config: HealthConfig) -> None:
-        self.ph_reward = PageHinkley(
-            config.ph_delta, config.ph_threshold, config.ph_burn_in
-        )
-        self.ph_drift = PageHinkley(
-            config.ph_delta, config.ph_threshold, config.ph_burn_in
-        )
-        self.cusum_reward = WindowedCusum(
-            config.cusum_window, config.cusum_threshold, config.cusum_drift
-        )
-        self.cusum_drift = WindowedCusum(
-            config.cusum_window, config.cusum_threshold, config.cusum_drift
-        )
-        self.ewma_fill = EwmaBand(
-            config.ewma_alpha, config.ewma_k, config.ewma_burn_in
-        )
+    def __init__(self) -> None:
+        self.ph_reward = PageHinkley()
+        self.ph_drift = PageHinkley()
+        self.cusum_reward = WindowedCusum()
+        self.cusum_drift = WindowedCusum()
+        self.ewma_fill = EwmaBand()
         self.cliff = CliffTracker()
+        #: The cell's last REWARD_COLLAPSE_WINDOW rewards and last drift.
+        self.rewards: Deque[float] = deque(maxlen=REWARD_COLLAPSE_WINDOW)
+        self.drift: Optional[float] = None
+        #: Alert predicates at the last evaluation (edge triggering).
+        self.collapsed = False
+        self.diverged = False
 
 
 class HealthMonitor:
-    """Per-policy online detectors + the event log behind ``health.json``.
+    """Per-policy online detectors, the built-in alerts and their logs.
 
     Attached as the ambient ``obs.health_monitor``; the round loop
     feeds it from :func:`repro.simulation.fleet._record_policy_round`
-    on every policy step.  Detector state is per policy; the parallel
-    executor resets it per cell (:meth:`begin_cell`) on the serial path
-    and gives each worker a fresh monitor, so events are identical for
-    every ``jobs`` value (workers' events are drained in submission
-    order via :meth:`extend`).
+    on every policy step and calls :meth:`end_round` once every policy
+    has stepped.  Detections become the events behind ``health.json``;
+    alert firings go to ``alerts`` (a
+    :class:`~repro.obs.flight.FlightRecorder` on ``alerts.jsonl``, or an
+    in-memory :class:`~repro.obs.flight.FlightBuffer` by default).
+
+    The alerts carry no wall-clock fields and are edge-triggered: a
+    metric alert fires when its predicate turns true, not on every round
+    it stays true.  Within a round, capacity-exhaustion firings come
+    first (as the cliff events happen), then ``reward-collapse`` and
+    ``theta-divergence``, each over policies in sorted metric-name order.
+
+    Detector and alert state is per policy and per cell: the parallel
+    executor resets it (:meth:`begin_cell`) before each serial work unit
+    and gives each worker a fresh monitor, so events and firings are
+    identical for every ``jobs`` value (workers' events and alerts are
+    merged in submission order via :meth:`extend`).
     """
 
-    def __init__(self, config: Optional[HealthConfig] = None) -> None:
-        self.config = config if config is not None else HealthConfig()
+    def __init__(self, alerts: Optional[Any] = None) -> None:
+        if alerts is None:
+            from repro.obs.flight import FlightBuffer
+
+            alerts = FlightBuffer()
+        self.alerts = alerts
         self.events: List[HealthEvent] = []
         self._policies: Dict[str, _PolicyDetectors] = {}
+        #: The banks in sorted reward / drift metric-name order.
+        self._by_reward_name: List[Tuple[str, _PolicyDetectors]] = []
+        self._by_drift_name: List[Tuple[str, _PolicyDetectors]] = []
 
     # -- lifecycle -----------------------------------------------------
     def begin_cell(self) -> None:
-        """Reset detector state at a work-unit boundary (serial path).
+        """Reset detector and alert state at a work-unit boundary.
 
-        Keeps the accumulated events: the log spans the whole run, the
-        detectors span one cell — exactly matching a parallel worker's
-        fresh monitor.
+        Keeps the accumulated events and alerts: the logs span the whole
+        run, the detectors and alert windows span one cell — exactly
+        matching a parallel worker's fresh monitor.
         """
         self._policies.clear()
+        self._by_reward_name.clear()
+        self._by_drift_name.clear()
 
-    def extend(self, events: Iterable[HealthEvent]) -> None:
-        """Append a worker's events (call in submission order)."""
+    def extend(
+        self, events: Iterable[HealthEvent], alerts: Iterable[AlertRecord]
+    ) -> None:
+        """Append a worker's events and alerts (call in submission order)."""
         self.events.extend(events)
-
-    def events_since(self, start: int) -> List[HealthEvent]:
-        """Events appended at index >= ``start`` (alert-engine cursor)."""
-        return self.events[start:]
+        self.alerts.extend(alerts)
 
     # -- feeding -------------------------------------------------------
     def _bank(self, policy: str) -> _PolicyDetectors:
         bank = self._policies.get(policy)
         if bank is None:
-            bank = _PolicyDetectors(self.config)
+            bank = _PolicyDetectors()
             self._policies[policy] = bank
+            prefix = POLICY_METRIC_PREFIX + policy
+            self._by_reward_name.append((prefix + REWARD_SUFFIX, bank))
+            self._by_reward_name.sort(key=lambda entry: entry[0])
+            self._by_drift_name.append((prefix + THETA_DRIFT_SUFFIX, bank))
+            self._by_drift_name.sort(key=lambda entry: entry[0])
         return bank
 
     def _emit(self, obs: Any, event: HealthEvent) -> None:
@@ -463,6 +502,7 @@ class HealthMonitor:
     ) -> None:
         """Feed one instrumented round's signals through the detectors."""
         bank = self._bank(policy)
+        bank.rewards.append(reward)
         direction = bank.ph_reward.update(reward)
         if direction is not None:
             self._emit(obs, health_event(
@@ -476,6 +516,7 @@ class HealthMonitor:
                 round_, reward, direction,
             ))
         if drift is not None:
+            bank.drift = drift
             direction = bank.ph_drift.update(drift)
             if direction is not None:
                 self._emit(obs, health_event(
@@ -504,7 +545,11 @@ class HealthMonitor:
         event_id: int,
         num_events: int,
     ) -> None:
-        """Feed one drained event into the capacity-cliff tracker."""
+        """Feed one drained event into the capacity-cliff tracker.
+
+        Each cliff mark is a health event and a capacity-exhaustion
+        alert.
+        """
         bank = self._bank(policy)
         for phase, mark_round in bank.cliff.update(round_, event_id, num_events):
             self._emit(obs, health_event(
@@ -513,6 +558,59 @@ class HealthMonitor:
                 drained=len(bank.cliff.first_rounds),
                 num_events=int(num_events),
             ))
+            self.alerts.record({
+                "kind": "alert",
+                "schema_version": ALERTS_SCHEMA_VERSION,
+                "rule": CAPACITY_EXHAUSTION_ALERT,
+                "severity": "warning",
+                "detector": CAPACITY_CLIFF_DETECTOR,
+                "policy": policy,
+                "metric": CAPACITY_EXHAUSTED_METRIC,
+                "direction": phase,
+                "round": mark_round,
+                "value": float(event_id),
+            })
+
+    def end_round(self, round_: int) -> None:
+        """Evaluate the metric alerts once every policy stepped ``round_``."""
+        for name, bank in self._by_reward_name:
+            collapsed = False
+            if len(bank.rewards) == REWARD_COLLAPSE_WINDOW:
+                mean = math.fsum(bank.rewards) / REWARD_COLLAPSE_WINDOW
+                collapsed = mean < REWARD_COLLAPSE_BELOW
+                if collapsed and not bank.collapsed:
+                    self._metric_alert(
+                        REWARD_COLLAPSE_ALERT, name, "lt",
+                        REWARD_COLLAPSE_BELOW, "mean", round_, mean,
+                    )
+            bank.collapsed = collapsed
+        for name, bank in self._by_drift_name:
+            diverged = False
+            if bank.drift is not None:
+                diverged = bank.drift > THETA_DIVERGENCE_ABOVE
+                if diverged and not bank.diverged:
+                    self._metric_alert(
+                        THETA_DIVERGENCE_ALERT, name, "gt",
+                        THETA_DIVERGENCE_ABOVE, "last", round_, bank.drift,
+                    )
+            bank.diverged = diverged
+
+    def _metric_alert(
+        self, rule: str, metric: str, op: str, threshold: float,
+        aggregate: str, round_: int, value: float,
+    ) -> None:
+        self.alerts.record({
+            "kind": "alert",
+            "schema_version": ALERTS_SCHEMA_VERSION,
+            "rule": rule,
+            "severity": "critical",
+            "metric": metric,
+            "op": op,
+            "threshold": threshold,
+            "aggregate": aggregate,
+            "round": int(round_),
+            "value": float(value),
+        })
 
     # -- reporting -----------------------------------------------------
     def summary(self) -> Dict[str, Dict[str, Any]]:
@@ -561,9 +659,7 @@ def summarize_events(
 # ----------------------------------------------------------------------
 # Offline: rebuild the report from a recorded metrics snapshot
 # ----------------------------------------------------------------------
-def events_from_snapshot(
-    snapshot: Any, config: Optional[HealthConfig] = None
-) -> List[HealthEvent]:
+def events_from_snapshot(snapshot: Any) -> List[HealthEvent]:
     """Run the online detectors over a recorded ``metrics.json``.
 
     Replays each per-policy reward/θ̂-drift/fill-rate/exhaustion series
@@ -575,7 +671,7 @@ def events_from_snapshot(
     """
     from repro.obs.core import NULL_OBS
 
-    monitor = HealthMonitor(config)
+    monitor = HealthMonitor()
     per_policy: Dict[str, Dict[str, List[List[float]]]] = {}
     for name, points in sorted(snapshot.series.items()):
         if not name.startswith(POLICY_METRIC_PREFIX):
@@ -673,3 +769,23 @@ def load_health(target: Union[str, Path]) -> Dict[str, Any]:
             f"(this library reads version {HEALTH_SCHEMA_VERSION})"
         )
     return payload
+
+
+def load_alerts(
+    target: Union[str, Path], strict: bool = True
+) -> List[AlertRecord]:
+    """Load an alert log from a file or a run directory.
+
+    ``strict=False`` recovers the longest valid prefix (the read mode
+    for logs whose writer was killed mid-line); a missing log reads as
+    an empty list — "no alerts" and "no alerting configured" render the
+    same way.
+    """
+    from repro.obs.trace import read_trace_jsonl
+
+    path = Path(target)
+    if path.is_dir():
+        path = path / ALERTS_FILENAME
+    if not path.exists():
+        return []
+    return read_trace_jsonl(path, strict=strict)

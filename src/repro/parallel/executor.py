@@ -51,6 +51,7 @@ Fault tolerance (DESIGN.md §5.13):
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -123,26 +124,21 @@ class _Telemetry:
 
     The worker runs its unit under a fresh registry with the caller's
     ``--profile`` sampling config, an in-memory flight buffer when the
-    caller records decisions, and a fresh health monitor / in-memory
-    alert engine when the caller has them.  Everything recorded travels
-    back with the result for a submission-order merge, which is what
-    makes ``decisions.jsonl``, ``alerts.jsonl`` and the health log
+    caller records decisions, and a fresh health monitor (its alerts in
+    memory) when the caller has one.  Everything recorded travels back
+    with the result for a submission-order merge, which is what makes
+    ``decisions.jsonl``, ``alerts.jsonl`` and the health log
     byte-identical for every worker count.
     """
 
     flight: bool
-    health_config: Optional[Any]
-    rules: Optional[Any]
+    health: bool
     profile_config: Optional[Any]
 
     @property
     def captures(self) -> Tuple[str, ...]:
         """The channels a cached outcome holds (part of its cache key)."""
-        optional = (
-            ("flight", self.flight),
-            ("health", self.health_config is not None),
-            ("alerts", self.rules is not None),
-        )
+        optional = (("flight", self.flight), ("health", self.health))
         return ("telemetry",) + tuple(name for name, on in optional if on)
 
 
@@ -197,14 +193,10 @@ def _run_unit(payload: _WorkerPayload) -> _WorkerResult:
         worker_obs.profile_config = telemetry.profile_config
         flight = FlightBuffer() if telemetry.flight else None
         worker_obs.flight_recorder = flight
-        if telemetry.health_config is not None:
+        if telemetry.health:
             from repro.obs.health import HealthMonitor
 
-            worker_obs.health_monitor = HealthMonitor(telemetry.health_config)
-        if telemetry.rules is not None:
-            from repro.obs.alerts import AlertBuffer, AlertEngine
-
-            worker_obs.alert_engine = AlertEngine(telemetry.rules, AlertBuffer())
+            worker_obs.health_monitor = HealthMonitor()
         queue_latency = max(0.0, wall_time() - submitted_at)
         with use(worker_obs):
             start = time.perf_counter()
@@ -214,7 +206,6 @@ def _run_unit(payload: _WorkerPayload) -> _WorkerResult:
         worker_obs.timer(QUEUE_LATENCY_METRIC).observe(queue_latency)
         worker_obs.series(CELL_WALL_SECONDS_METRIC).append(index, wall)
         monitor = worker_obs.health_monitor
-        engine = worker_obs.alert_engine
         outcome = (
             result,
             (
@@ -222,7 +213,7 @@ def _run_unit(payload: _WorkerPayload) -> _WorkerResult:
                 worker_obs.trace_records(),
                 flight.records if flight is not None else [],
                 monitor.events if monitor is not None else [],
-                engine.sink.records if engine is not None else [],
+                monitor.alerts.records if monitor is not None else [],
             ),
         )
     if cache_dir is not None and digest is not None:
@@ -278,6 +269,7 @@ def run_work_units(
         ``n`` units exits after at most ``n * timeout`` seconds even
         if every unit wedges.  A timeout terminates the worker pool
         and raises :class:`~repro.exceptions.WorkUnitTimeoutError`.
+        It must be finite and positive.
     retries:
         How many times a pool broken by a *crashed or killed* worker
         (``BrokenProcessPool``) is rebuilt and the lost units re-run.
@@ -309,8 +301,10 @@ def run_work_units(
         ``keep_going`` the list may hold :class:`UnitFailure` entries.
     """
     jobs = resolve_jobs(jobs)
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"timeout must be > 0 seconds, got {timeout}")
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ConfigurationError(
+            f"timeout must be a finite number of seconds > 0, got {timeout}"
+        )
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
     units = list(units)
@@ -340,17 +334,14 @@ def _run_serial_instrumented(
     timer = obs.timer(CELL_SECONDS_METRIC)
     series = obs.series(CELL_WALL_SECONDS_METRIC)
     monitor = getattr(obs, "health_monitor", None)
-    engine = getattr(obs, "alert_engine", None)
     results: List[R] = []
     with obs.span("run_work_units", jobs=1, units=len(units)):
         for index, unit in enumerate(units):
-            # Work-unit boundary: reset detector state and re-baseline
-            # the alert windows so a cell sees only its own telemetry —
-            # exactly what a worker's fresh registry sees.
+            # Work-unit boundary: reset the detectors and alert windows
+            # so a cell sees only its own telemetry — exactly what a
+            # worker's fresh monitor sees.
             if monitor is not None:
                 monitor.begin_cell()
-            if engine is not None:
-                engine.begin_cell(obs)
             start = time.perf_counter()
             results.append(fn(unit))
             wall = time.perf_counter() - start
@@ -373,12 +364,10 @@ def _run_outcomes(
     """Cache lookup, execution (inline or pooled) and the ordered merge."""
     flight = getattr(obs, "flight_recorder", None)
     monitor = getattr(obs, "health_monitor", None)
-    engine = getattr(obs, "alert_engine", None)
     telemetry = (
         _Telemetry(
             flight=flight is not None,
-            health_config=monitor.config if monitor is not None else None,
-            rules=engine.rules if engine is not None else None,
+            health=monitor is not None,
             profile_config=getattr(obs, "profile_config", None),
         )
         if obs.enabled
@@ -427,9 +416,7 @@ def _run_outcomes(
                 if flight is not None:
                     flight.extend(flight_records)
                 if monitor is not None:
-                    monitor.extend(health_events)
-                if engine is not None:
-                    engine.absorb(alerts)
+                    monitor.extend(health_events, alerts)
             results.append(result)
     return results
 

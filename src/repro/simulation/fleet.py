@@ -72,7 +72,7 @@ if TYPE_CHECKING:  # import cycle: repro.io.__init__ reaches back here
     from repro.io.checkpoint import CellCheckpointSpec
 
 #: Per-policy emit-site metric names (FAS016: names are constants so
-#: alert selectors cannot silently miss a typo'd emit site).
+#: readers cannot silently miss a typo'd emit site).
 SELECT_SECONDS_METRIC = "select_seconds"
 OBSERVE_SECONDS_METRIC = "observe_seconds"
 ROUNDS_METRIC = "rounds"
@@ -151,8 +151,8 @@ def open_run_checkpointer(
     Rejects the two attachments whose internal state a round checkpoint
     cannot capture:
 
-    * an alert engine / health monitor (windowed detector state would
-      silently reset on resume, changing firings);
+    * the health monitor (detector and alert-window state would
+      silently reset on resume, changing events and firings);
     * a disk-backed flight recorder (the resumed process would append
       to a log that already holds the pre-crash records; checkpointing
       requires an in-memory buffer whose contents travel inside the
@@ -161,11 +161,6 @@ def open_run_checkpointer(
     """
     from repro.io.checkpoint import RunCheckpointer
 
-    if getattr(obs, "alert_engine", None) is not None:
-        raise ConfigurationError(
-            "round checkpointing cannot capture alert-engine window state; "
-            "run without --alerts/--health or without --checkpoint"
-        )
     if getattr(obs, "health_monitor", None) is not None:
         raise ConfigurationError(
             "round checkpointing cannot capture health-monitor detector "
@@ -293,7 +288,7 @@ def play_fleet(
         flight = getattr(obs, "flight_recorder", None)
     recording = flight is not None
     profiling = instrumented and profile is not None
-    engine = getattr(obs, "alert_engine", None) if instrumented else None
+    monitor = getattr(obs, "health_monitor", None) if instrumented else None
     if instrumented or recording:
         # Recording needs the label too: the "policy" field of each
         # decision record is the fleet key, not the algorithm name.
@@ -460,10 +455,10 @@ def play_fleet(
             else:
                 for name, policy in fleet:
                     _step(name, policy, t, user, contexts, accepts, False)
-            if engine is not None:
+            if monitor is not None:
                 # After every policy's step: one alert evaluation per
                 # round keeps firings flush-cadence-independent.
-                engine.evaluate_round(obs, t)
+                monitor.end_round(t)
             if instrumented and stream is not None:
                 stream.maybe_flush(1)
             # Save strictly after every policy's step (including the

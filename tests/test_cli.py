@@ -31,11 +31,9 @@ def test_run_prints_report_unless_quiet(tmp_path, capsys):
     assert "kendall_tau" in out
 
 
-def test_run_rejects_unknown_experiment(tmp_path):
-    from repro.exceptions import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        main(["run", "fig99", "--out", str(tmp_path)])
+def test_run_rejects_unknown_experiment(tmp_path, capsys):
+    assert main(["run", "fig99", "--out", str(tmp_path)]) == 2
+    assert "fasea run: unknown experiment 'fig99'" in capsys.readouterr().err
 
 
 def test_quickstart_runs(capsys):
@@ -65,36 +63,53 @@ def test_replicate_prints_ci_table(capsys):
     assert "UCB > TS on every seed" in out
 
 
-def test_checkpoint_rejects_health_combo(tmp_path):
-    from repro.exceptions import ConfigurationError
+def test_checkpoint_rejects_health_combo(tmp_path, capsys):
+    code = main(["quickstart", "--out", str(tmp_path), "--checkpoint", "--health"])
+    assert code == 2
+    assert "cannot be combined with --health" in capsys.readouterr().err
 
-    with pytest.raises(ConfigurationError, match="cannot be combined with --health"):
-        main(["quickstart", "--out", str(tmp_path), "--checkpoint", "--health"])
 
-
-def test_checkpoint_rejects_bad_cadence(tmp_path, monkeypatch):
-    from repro.exceptions import ConfigurationError
-
+def test_checkpoint_rejects_bad_cadence(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(ConfigurationError, match="cadence must be >= 1"):
-        main(["replicate", "--seeds", "1", "--horizon", "60", "--checkpoint", "0"])
+    code = main(["replicate", "--seeds", "1", "--horizon", "60", "--checkpoint", "0"])
+    assert code == 2
+    assert "cadence must be >= 1" in capsys.readouterr().err
 
 
-def test_resume_requires_a_manifest(tmp_path):
-    from repro.exceptions import ConfigurationError
+def test_resume_requires_a_manifest(tmp_path, capsys):
+    code = main(
+        ["replicate", "--seeds", "1", "--horizon", "60",
+         "--resume", str(tmp_path / "nope")]
+    )
+    assert code == 2
+    assert "no checkpoint manifest" in capsys.readouterr().err
 
-    with pytest.raises(ConfigurationError, match="no checkpoint manifest"):
-        main(
-            ["replicate", "--seeds", "1", "--horizon", "60",
-             "--resume", str(tmp_path / "nope")]
-        )
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["replicate", "--seeds", "0"], "need at least one seed"),
+        (["replicate", "--seeds", "1", "--horizon", "0"], "horizon must be >= 1"),
+        (["replicate", "--seeds", "1", "--horizon", "10", "--retries", "-1"],
+         "retries must be >= 0"),
+        (["replicate", "--seeds", "1", "--horizon", "10", "--timeout", "nan"],
+         "timeout must be a finite number"),
+        (["quickstart", "--quiet", "--jobs", "-1"], "jobs must be >= 0"),
+        (["replicate", "--health"], "--health requires --flight DIR"),
+    ],
+    ids=["seeds", "horizon", "retries", "timeout", "jobs", "health-without-flight"],
+)
+def test_usage_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fasea {argv[0]}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_replicate_checkpoint_then_resume(tmp_path, monkeypatch, capsys):
     """A checkpointed replicate leaves a manifest; --resume validates it
     (rejecting changed flags) and replays a finished run from the cache."""
-    from repro.exceptions import ConfigurationError
-
     monkeypatch.chdir(tmp_path)
     assert main(
         ["replicate", "--seeds", "2", "--horizon", "120", "--checkpoint", "60"]
@@ -104,11 +119,11 @@ def test_replicate_checkpoint_then_resume(tmp_path, monkeypatch, capsys):
     ckpt = Path("results/replicate/checkpoints")
     assert (ckpt / "manifest.json").exists()
 
-    with pytest.raises(ConfigurationError, match="horizon"):
-        main(
-            ["replicate", "--seeds", "2", "--horizon", "80",
-             "--resume", str(ckpt)]
-        )
+    code = main(
+        ["replicate", "--seeds", "2", "--horizon", "80", "--resume", str(ckpt)]
+    )
+    assert code == 2
+    assert "horizon" in capsys.readouterr().err
 
     assert main(
         ["replicate", "--seeds", "2", "--horizon", "120", "--resume", str(ckpt)]

@@ -1,251 +1,129 @@
-"""Deterministic alert engine guarantees.
+"""The health monitor's built-in alerts.
 
-The tentpole promises, tested directly: rules parse from alerts.toml
-(tomllib and the dependency-free fallback agree), evaluation is
-edge-triggered per round with cooldowns and per-cell baselines, the
-crash-safe log follows the flight-recorder discipline, and a parallel
-run's ``alerts.jsonl`` is byte-identical to the serial one.
+Tested directly: ``capacity-exhaustion`` fires on each capacity-cliff
+mark, ``reward-collapse`` and ``theta-divergence`` are edge-triggered
+over cell-local windows, the crash-safe ``alerts.jsonl`` writer follows
+the flight-recorder discipline, and a parallel run's ``alerts.jsonl`` is
+byte-identical to the serial one — and to the pinned bytes of a run in
+which all three alerts fire.
 """
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.datasets.synthetic import SyntheticConfig
+from repro.bandits import OptPolicy, RandomPolicy
+from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.exceptions import ConfigurationError
-from repro.obs.alerts import (
+from repro.obs.core import NULL_OBS, Instrumentation, use
+from repro.obs.flight import FlightRecorder
+from repro.obs.health import (
     ALERTS_FILENAME,
     ALERTS_SCHEMA_VERSION,
-    DEFAULT_ALERT_RULES,
-    AlertBuffer,
-    AlertEngine,
-    AlertLog,
-    AlertRule,
-    _parse_toml_subset,
-    alert_line,
-    load_alert_rules,
+    CAPACITY_CLIFF_DETECTOR,
+    CAPACITY_EXHAUSTION_ALERT,
+    REWARD_COLLAPSE_ALERT,
+    REWARD_COLLAPSE_WINDOW,
+    THETA_DIVERGENCE_ALERT,
+    HealthMonitor,
     load_alerts,
-    rules_from_payload,
 )
-from repro.obs.core import Instrumentation, use
-from repro.obs.health import CAPACITY_CLIFF_DETECTOR, HealthMonitor, health_event
 from repro.parallel import PolicyRunCell, run_policy_run_cell, run_work_units
+from repro.simulation.fleet import run_policy_fleet
 
-SAMPLE_TOML = """\
-# Capacity cliff: the paper's regret-drop diagnostic.
-[[alert]]
-name = "cliff"
-detector = "capacity_cliff"
-severity = "warning"
-policy = "OPT*"
 
-[[alert]]
-name = "reward-floor"          # trailing comment with "quotes # inside"
-metric = "policy.*.reward"
-aggregate = "mean"
-window = 5
-op = "lt"
-value = 0.25
-cooldown = 10
-severity = "critical"
-"""
+def _rules(monitor):
+    return [(record["rule"], record["round"]) for record in monitor.alerts.records]
 
 
 # ----------------------------------------------------------------------
-# Rule validation and parsing
+# Alert semantics
 # ----------------------------------------------------------------------
-def test_rule_requires_exactly_one_of_metric_or_detector():
-    with pytest.raises(ConfigurationError):
-        AlertRule(name="both", metric="x", op="gt", value=1.0, detector="cusum")
-    with pytest.raises(ConfigurationError):
-        AlertRule(name="neither")
-
-
-def test_rule_field_validation():
-    with pytest.raises(ConfigurationError):
-        AlertRule(name="r", metric="x", op="nope", value=1.0)
-    with pytest.raises(ConfigurationError):
-        AlertRule(name="r", metric="x", op="gt")  # no threshold
-    with pytest.raises(ConfigurationError):
-        AlertRule(name="r", metric="x", op="gt", value=1.0, aggregate="median")
-    with pytest.raises(ConfigurationError):
-        AlertRule(name="r", metric="x", op="gt", value=1.0, window=0)
-    with pytest.raises(ConfigurationError):
-        AlertRule(name="r", detector="not_a_detector")
-    with pytest.raises(ConfigurationError):
-        AlertRule(name="r", detector="cusum", severity="panic")
-
-
-def test_rules_from_payload_rejects_unknown_keys():
-    with pytest.raises(ConfigurationError, match="unknown"):
-        rules_from_payload({"alert": [{"name": "r", "detector": "cusum", "oops": 1}]})
-    with pytest.raises(ConfigurationError, match="no .?.?alert"):
-        rules_from_payload({"alert": []})
-
-
-def test_load_alert_rules_parses_toml(tmp_path):
-    path = tmp_path / "alerts.toml"
-    path.write_text(SAMPLE_TOML)
-    rules = load_alert_rules(path)
-    assert [rule.name for rule in rules] == ["cliff", "reward-floor"]
-    assert rules[0].detector == CAPACITY_CLIFF_DETECTOR
-    assert rules[0].policy == "OPT*"
-    assert rules[1].window == 5 and rules[1].cooldown == 10
-    assert rules[1].value == 0.25 and rules[1].op == "lt"
-
-
-def test_fallback_parser_agrees_with_tomllib():
-    import tomllib
-
-    assert _parse_toml_subset(SAMPLE_TOML) == tomllib.loads(SAMPLE_TOML)
-
-
-def test_fallback_parser_rejects_what_it_cannot_read():
-    with pytest.raises(ConfigurationError, match="only"):
-        _parse_toml_subset("[other]\nname = 1\n")
-    with pytest.raises(ConfigurationError, match="key = value"):
-        _parse_toml_subset("name = 1\n")  # key before any [[alert]]
-    with pytest.raises(ConfigurationError, match="cannot parse"):
-        _parse_toml_subset('[[alert]]\nname = {nested = 1}\n')
-
-
-def test_load_alert_rules_missing_file(tmp_path):
-    with pytest.raises(ConfigurationError, match="no alert rules"):
-        load_alert_rules(tmp_path / "nope.toml")
-
-
 def test_default_rules_include_the_capacity_exhaustion_alert():
-    by_name = {rule.name: rule for rule in DEFAULT_ALERT_RULES}
-    assert by_name["capacity-exhaustion"].detector == CAPACITY_CLIFF_DETECTOR
-    assert by_name["reward-collapse"].severity == "critical"
-
-
-# ----------------------------------------------------------------------
-# Engine semantics
-# ----------------------------------------------------------------------
-def _engine(*rules):
-    buffer = AlertBuffer()
-    return AlertEngine(rules, buffer), buffer
-
-
-def test_metric_rule_is_edge_triggered():
-    engine, buffer = _engine(
-        AlertRule(name="hot", metric="temp", op="gt", value=10.0)
-    )
-    obs = Instrumentation()
-    gauge = obs.gauge("temp")
-    for round_, value in enumerate([5.0, 20.0, 30.0, 5.0, 25.0], start=1):
-        gauge.set(value)
-        engine.evaluate_round(obs, round_)
-    # Fires on each false->true transition only: rounds 2 and 5.
-    assert [r["round"] for r in buffer.records] == [2, 5]
-    record = buffer.records[0]
-    assert record["schema_version"] == ALERTS_SCHEMA_VERSION
-    assert record["rule"] == "hot" and record["value"] == 20.0
-
-
-def test_cooldown_spaces_re_firings():
-    engine, buffer = _engine(
-        AlertRule(name="hot", metric="temp", op="gt", value=10.0, cooldown=5)
-    )
-    obs = Instrumentation()
-    gauge = obs.gauge("temp")
-    values = [20.0, 5.0, 20.0, 5.0, 20.0, 5.0, 20.0]
-    for round_, value in enumerate(values, start=1):
-        gauge.set(value)
-        engine.evaluate_round(obs, round_)
-    # Transitions at rounds 1, 3, 5, 7 — but <5 rounds apart are muted.
-    assert [r["round"] for r in buffer.records] == [1, 7]
-
-
-def test_series_window_minimum_guard():
-    engine, buffer = _engine(
-        AlertRule(
-            name="low", metric="reward", op="lt", value=0.5,
-            aggregate="mean", window=3,
-        )
-    )
-    obs = Instrumentation()
-    series = obs.series("reward")
-    for round_ in range(1, 3):
-        series.append(round_, 0.0)
-        engine.evaluate_round(obs, round_)
-    assert buffer.records == []  # fewer than `window` points: not evaluable
-    series.append(3, 0.0)
-    engine.evaluate_round(obs, 3)
-    assert [r["round"] for r in buffer.records] == [3]
-
-
-def test_count_aggregate_needs_no_window_fill():
-    engine, buffer = _engine(
-        AlertRule(
-            name="any-drain", metric="drained", op="ge", value=1.0,
-            aggregate="count",
-        )
-    )
-    obs = Instrumentation()
-    obs.series("drained").append(4, 2.0)
-    engine.evaluate_round(obs, 4)
-    assert [r["round"] for r in buffer.records] == [4]
-
-
-def test_counter_windows_are_cell_local():
-    engine, buffer = _engine(
-        AlertRule(name="calls", metric="oracle.calls", op="gt", value=2.0)
-    )
-    obs = Instrumentation()
-    counter = obs.counter("oracle.calls")
-    counter.inc(3)
-    engine.evaluate_round(obs, 1)
-    assert len(buffer.records) == 1
-    # A new cell re-baselines: the counter's absolute value no longer
-    # counts, only what this cell adds — like a worker's fresh registry.
-    engine.begin_cell(obs)
-    counter.inc(1)
-    engine.evaluate_round(obs, 1)
-    assert len(buffer.records) == 1
+    monitor = HealthMonitor()
+    monitor.observe_exhaustion(NULL_OBS, "OPT", 4, 5, 1)
+    assert monitor.alerts.records == [
+        {
+            "kind": "alert",
+            "schema_version": ALERTS_SCHEMA_VERSION,
+            "rule": CAPACITY_EXHAUSTION_ALERT,
+            "severity": "warning",
+            "detector": CAPACITY_CLIFF_DETECTOR,
+            "policy": "OPT",
+            "metric": "capacity_exhausted",
+            "direction": direction,
+            "round": 4,
+            "value": 5.0,
+        }
+        for direction in ("onset", "complete")
+    ]
 
 
 def test_detector_rule_fires_on_matching_health_events():
-    engine, buffer = _engine(
-        AlertRule(name="cliff", detector=CAPACITY_CLIFF_DETECTOR, policy="OPT")
-    )
-    obs = Instrumentation()
-    obs.health_monitor = HealthMonitor()
-    obs.health_monitor.extend([
-        health_event(
-            CAPACITY_CLIFF_DETECTOR, "OPT", "capacity_exhausted", 2, 5.0, "onset"
-        ),
-        health_event(
-            CAPACITY_CLIFF_DETECTOR, "UCB", "capacity_exhausted", 9, 1.0, "onset"
-        ),
-        health_event("cusum", "OPT", "reward", 30, 0.0, "down"),
-    ])
-    engine.evaluate_round(obs, 30)
-    assert len(buffer.records) == 1
-    record = buffer.records[0]
-    assert record["policy"] == "OPT" and record["round"] == 2
-    assert record["direction"] == "onset"
-    # The cursor advanced: re-evaluating does not re-fire old events.
-    engine.evaluate_round(obs, 31)
-    assert len(buffer.records) == 1
+    monitor = HealthMonitor()
+    for round_ in range(1, 120):
+        # A reward level shift: Page-Hinkley and CUSUM events, no alert.
+        monitor.observe_round(NULL_OBS, "UCB", round_, 0.0 if round_ < 60 else 5.0)
+        monitor.end_round(round_)
+    assert monitor.events and monitor.alerts.records == []
+    monitor.observe_exhaustion(NULL_OBS, "UCB", 120, 2, 3)
+    monitor.observe_exhaustion(NULL_OBS, "UCB", 121, 2, 3)  # already drained
+    assert _rules(monitor) == [(CAPACITY_EXHAUSTION_ALERT, 120)]
+    assert monitor.alerts.records[0]["direction"] == "onset"
 
 
-def test_engine_requires_rules():
-    with pytest.raises(ConfigurationError):
-        AlertEngine(())
+def test_metric_rule_is_edge_triggered():
+    monitor = HealthMonitor()
+    for round_, drift in enumerate([5.0, 20.0, 30.0, 5.0, 25.0], start=1):
+        monitor.observe_round(NULL_OBS, "TS", round_, 1.0, drift=drift)
+        monitor.end_round(round_)
+    # Fires on each false->true transition only: rounds 2 and 5.
+    assert _rules(monitor) == [(THETA_DIVERGENCE_ALERT, 2), (THETA_DIVERGENCE_ALERT, 5)]
+    record = monitor.alerts.records[0]
+    assert record["schema_version"] == ALERTS_SCHEMA_VERSION
+    assert record["metric"] == "policy.TS.theta_drift"
+    assert record["value"] == 20.0 and record["severity"] == "critical"
+
+
+def test_series_window_minimum_guard():
+    monitor = HealthMonitor()
+    for round_ in range(1, REWARD_COLLAPSE_WINDOW):
+        monitor.observe_round(NULL_OBS, "TS", round_, 0.0)
+        monitor.end_round(round_)
+    assert monitor.alerts.records == []  # fewer rewards than the window
+    monitor.observe_round(NULL_OBS, "TS", REWARD_COLLAPSE_WINDOW, 0.0)
+    monitor.end_round(REWARD_COLLAPSE_WINDOW)
+    assert _rules(monitor) == [(REWARD_COLLAPSE_ALERT, REWARD_COLLAPSE_WINDOW)]
+    assert monitor.alerts.records[0]["metric"] == "policy.TS.reward"
+    assert monitor.alerts.records[0]["value"] == 0.0
+
+
+def test_reward_windows_are_cell_local():
+    monitor = HealthMonitor()
+    for round_ in range(1, REWARD_COLLAPSE_WINDOW):
+        monitor.observe_round(NULL_OBS, "TS", round_, 0.0)
+    # A new cell starts an empty window, like a worker's fresh monitor:
+    # one more zero reward does not complete the earlier cell's window.
+    monitor.begin_cell()
+    monitor.observe_round(NULL_OBS, "TS", 1, 0.0)
+    monitor.end_round(1)
+    assert monitor.alerts.records == []
 
 
 # ----------------------------------------------------------------------
 # The crash-safe log
 # ----------------------------------------------------------------------
-def test_alert_line_serializes_with_sorted_keys():
-    assert alert_line({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
+def test_alert_line_serializes_with_sorted_keys(tmp_path):
+    with FlightRecorder(tmp_path, filename=ALERTS_FILENAME) as log:
+        log.record({"b": 1, "a": 2})
+    assert (tmp_path / ALERTS_FILENAME).read_text() == '{"a": 2, "b": 1}\n'
 
 
 def test_alert_log_truncates_and_appends(tmp_path):
     (tmp_path / ALERTS_FILENAME).write_text('{"kind": "stale"}\n')
-    with AlertLog(tmp_path) as log:
+    with FlightRecorder(tmp_path, filename=ALERTS_FILENAME) as log:
         log.record({"kind": "alert", "round": 1})
         log.extend([{"kind": "alert", "round": 2}])
         assert log.num_records == 2
@@ -256,12 +134,10 @@ def test_alert_log_truncates_and_appends(tmp_path):
 
 
 def test_alert_log_refuses_use_after_close(tmp_path):
-    log = AlertLog(tmp_path)
+    log = FlightRecorder(tmp_path, filename=ALERTS_FILENAME)
     log.close()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="alerts.jsonl"):
         log.record({"kind": "alert"})
-    with pytest.raises(ConfigurationError):
-        AlertLog(tmp_path, fsync_every_records=0)
 
 
 def test_load_alerts_recovers_longest_valid_prefix(tmp_path):
@@ -292,11 +168,21 @@ EXHAUST_CONFIG = SyntheticConfig(
 )
 
 
-def _alert_run(directory, jobs):
+def _monitored(directory, fn, units, jobs):
+    """Run ``units`` under a health monitor logging into ``directory``."""
     obs = Instrumentation()
-    obs.health_monitor = HealthMonitor()
-    log = AlertLog(directory)
-    obs.alert_engine = AlertEngine(DEFAULT_ALERT_RULES, log)
+    obs.health_monitor = HealthMonitor(
+        FlightRecorder(directory, filename=ALERTS_FILENAME)
+    )
+    try:
+        with use(obs):
+            run_work_units(fn, units, jobs=jobs)
+    finally:
+        obs.health_monitor.alerts.close()
+    return obs
+
+
+def test_parallel_alert_log_is_byte_identical_to_serial(tmp_path):
     cells = [
         PolicyRunCell(
             config=EXHAUST_CONFIG,
@@ -307,17 +193,8 @@ def _alert_run(directory, jobs):
         )
         for name in ("OPT", "UCB", "eGreedy")
     ]
-    try:
-        with use(obs):
-            run_work_units(run_policy_run_cell, cells, jobs=jobs)
-    finally:
-        log.close()
-    return obs
-
-
-def test_parallel_alert_log_is_byte_identical_to_serial(tmp_path):
-    serial_obs = _alert_run(tmp_path / "serial", jobs=1)
-    pool_obs = _alert_run(tmp_path / "pool", jobs=2)
+    serial_obs = _monitored(tmp_path / "serial", run_policy_run_cell, cells, jobs=1)
+    pool_obs = _monitored(tmp_path / "pool", run_policy_run_cell, cells, jobs=2)
     serial = (tmp_path / "serial" / ALERTS_FILENAME).read_bytes()
     pooled = (tmp_path / "pool" / ALERTS_FILENAME).read_bytes()
     assert serial == pooled
@@ -327,3 +204,47 @@ def test_parallel_alert_log_is_byte_identical_to_serial(tmp_path):
         for record in load_alerts(tmp_path / "serial")
     )
     assert serial_obs.health_monitor.events == pool_obs.health_monitor.events
+
+
+# ----------------------------------------------------------------------
+# The built-in alerts, pinned byte for byte
+# ----------------------------------------------------------------------
+class _FarPolicy(RandomPolicy):
+    """Random arrangements with an estimate far from θ (‖θ‖ ≤ 1)."""
+
+    name = "Far"
+
+    def theta_estimate(self):
+        return np.full(EXHAUST_CONFIG.dim, 20.0)
+
+
+def _drained_fleet(run_seed):
+    """OPT and two diverged learners on the tiny world until it drains.
+
+    The dict order is not the sorted label order, which is the order the
+    metric alerts of one round are written in.
+    """
+    world = build_world(EXHAUST_CONFIG)
+    policies = {
+        "OPT": OptPolicy(world.theta),
+        "Far": _FarPolicy(seed=5),
+        "Away": _FarPolicy(seed=6),
+    }
+    histories = run_policy_fleet(policies, world, horizon=300, run_seed=run_seed)
+    return {name: history.total_reward for name, history in histories.items()}
+
+
+#: alerts.jsonl of two drained cells: each cell's θ̂ divergence of Away
+#: and Far at round 1, every policy's capacity-exhaustion onset and
+#: completion, and each policy's reward collapse once its last 200
+#: rewards average < 0.05.  Written by the rule engine this monitor
+#: replaced, and unchanged since.
+PINNED_ALERTS = Path(__file__).parent / "fixtures" / "alerts" / "builtin_alerts.jsonl"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_builtin_alerts_fire_and_are_pinned(tmp_path, jobs):
+    _monitored(tmp_path, _drained_fleet, [0, 1], jobs=jobs)
+    rules = {record["rule"] for record in load_alerts(tmp_path)}
+    assert rules == {"capacity-exhaustion", "reward-collapse", "theta-divergence"}
+    assert (tmp_path / ALERTS_FILENAME).read_bytes() == PINNED_ALERTS.read_bytes()

@@ -17,13 +17,6 @@ from repro.bandits import OptPolicy, UcbPolicy
 from repro.cli import main as cli_main
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.io.runstore import persist_run_telemetry
-from repro.obs.alerts import (
-    ALERTS_FILENAME,
-    DEFAULT_ALERT_RULES,
-    AlertEngine,
-    AlertLog,
-    load_alerts,
-)
 from repro.obs.console import Console
 from repro.obs.core import Instrumentation
 from repro.obs.dashboard import (
@@ -40,12 +33,15 @@ from repro.obs.dashboard import (
     top_lines,
     write_health_html,
 )
+from repro.obs.flight import FlightRecorder
 from repro.obs.health import (
+    ALERTS_FILENAME,
     CAPACITY_CLIFF_DETECTOR,
     CUSUM_DETECTOR,
     HealthMonitor,
     events_from_snapshot,
     health_event,
+    load_alerts,
     persist_health,
 )
 from repro.obs.stream import StreamingSink
@@ -67,9 +63,8 @@ def run_dir(tmp_path_factory):
     )
     world = build_world(config)
     obs = Instrumentation()
-    obs.health_monitor = HealthMonitor()
-    log = AlertLog(directory)
-    obs.alert_engine = AlertEngine(DEFAULT_ALERT_RULES, log)
+    log = FlightRecorder(directory, filename=ALERTS_FILENAME)
+    obs.health_monitor = HealthMonitor(log)
     try:
         with StreamingSink(
             directory, obs, flush_every_rounds=1, flush_every_seconds=None

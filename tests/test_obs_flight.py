@@ -138,8 +138,6 @@ def test_recorder_refuses_use_after_close(tmp_path):
     recorder.close()  # idempotent
     with pytest.raises(ConfigurationError):
         recorder.record(cell_record(1))
-    with pytest.raises(ConfigurationError):
-        FlightRecorder(tmp_path, fsync_every_records=0)
 
 
 def test_recorder_truncates_stale_logs(tmp_path):

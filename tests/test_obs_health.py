@@ -16,7 +16,6 @@ import pytest
 from repro.bandits import OptPolicy, UcbPolicy, make_policy
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.exceptions import ConfigurationError, SchemaError
-from repro.obs.alerts import DEFAULT_ALERT_RULES, AlertBuffer, AlertEngine
 from repro.obs.core import NULL_OBS, Instrumentation
 from repro.obs.health import (
     CAPACITY_CLIFF_DETECTOR,
@@ -28,7 +27,6 @@ from repro.obs.health import (
     PAGE_HINKLEY_DETECTOR,
     CliffTracker,
     EwmaBand,
-    HealthConfig,
     HealthMonitor,
     PageHinkley,
     WindowedCusum,
@@ -120,15 +118,6 @@ def test_cliff_tracker_marks_onset_and_completion():
     assert tracker.first_rounds == {2: 5, 0: 9, 1: 7}
 
 
-def test_health_config_validates():
-    with pytest.raises(ConfigurationError):
-        HealthConfig(ph_threshold=0.0)
-    with pytest.raises(ConfigurationError):
-        HealthConfig(ewma_alpha=1.5)
-    with pytest.raises(ConfigurationError):
-        HealthConfig(cusum_window=1)
-
-
 # ----------------------------------------------------------------------
 # The single drop-point implementation
 # ----------------------------------------------------------------------
@@ -217,8 +206,7 @@ def test_smoke_world_health_and_alert_counts_are_pinned():
     )
     obs = Instrumentation()
     obs.health_monitor = HealthMonitor()
-    alerts = AlertBuffer()
-    obs.alert_engine = AlertEngine(DEFAULT_ALERT_RULES, alerts)
+    alerts = obs.health_monitor.alerts
     monitored = run_policy(make_policy("UCB", dim=8, seed=1), world, run_seed=0, obs=obs)
     plain = run_policy(make_policy("UCB", dim=8, seed=1), world, run_seed=0)
 
@@ -269,13 +257,14 @@ def test_begin_cell_resets_detectors_but_keeps_events():
 
 def test_extend_appends_worker_events_in_order():
     monitor = HealthMonitor()
+    monitor.observe_exhaustion(NULL_OBS, "OPT", 2, 0, 2)
     worker_events = [
         health_event(PAGE_HINKLEY_DETECTOR, "UCB", "reward", 10, 1.0, "down")
     ]
-    monitor.extend(worker_events)
-    assert monitor.events == worker_events
-    assert monitor.events_since(0) == worker_events
-    assert monitor.events_since(1) == []
+    worker_alerts = [{"kind": "alert", "rule": "reward-collapse", "round": 10}]
+    monitor.extend(worker_events, worker_alerts)
+    assert monitor.events[1:] == worker_events
+    assert monitor.alerts.records[1:] == worker_alerts
 
 
 # ----------------------------------------------------------------------

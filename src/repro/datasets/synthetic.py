@@ -30,8 +30,10 @@ from repro.ebsn.conflicts import (
     random_conflict_graph,
 )
 
-# perfbench/layers.py traces the conflict build by patching this module's
-# ``random_conflict_array`` and ``ConflictGraph`` names; keep both bound.
+# perfbench/layers.py patches this module's ``random_conflict_array`` and
+# ``ConflictGraph`` names to time the conflict build, so both stay bound.
+# ``build_world`` calls neither (it calls ``random_conflict_graph``), so
+# perfbench's ``setup.conflicts_s`` reads 0 (ROADMAP item 2).
 from repro.ebsn.conflicts import random_conflict_array  # noqa: F401
 from repro.ebsn.events import EventStore
 from repro.ebsn.users import UserArrivalStream

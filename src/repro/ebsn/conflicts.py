@@ -13,19 +13,25 @@ implement the same interface:
 :func:`ConflictGraph` (the public constructor) picks a backend by
 density.  A random conflict set of target ratio
 ``cr = |CF| / (|V| (|V|-1) / 2)`` (Table 4) is one draw of distinct
-*ranks* — flat indices into the row-major upper triangle — and two
-consumers of that draw:
+*ranks* — flat indices into the row-major upper triangle — made with
+``Generator.choice(total, size, replace=False)``:
 
-* :func:`random_conflict_graph` builds the graph straight from the
-  ranks.  On the dense path it marks them in a flat upper-triangle mask,
-  copies each row's slice into the matrix and mirrors it; no pair list
-  is ever built.  Only the sparse path unranks the ranks into pairs.
 * :func:`random_conflict_array` / :func:`random_conflicts` unrank the
-  same draw into ``(i, j)`` pairs, in draw order.
+  ranks into ``(i, j)`` pairs, in draw order.
+* :func:`random_conflict_graph` needs only the *set* of ranks.  Its
+  sparse path unranks them like the pair path.  Its dense path marks
+  the set in a flat upper-triangle mask, copies each row's slice into
+  the matrix and mirrors it; no pair list is ever built.  From
+  ``_TAIL_SET_MIN_PAIRS`` candidate pairs on it does not call
+  ``choice`` at all: it draws the same values ``choice``'s tail shuffle
+  draws and computes the set that shuffle leaves
+  (:func:`_mark_tail_shuffle_set`), without the shuffle's int64 array
+  over every pair.
 
-Both consume the seed's generator identically, so a world built from
-the graph equals one built from the pairs, and a caller that shares its
-generator (the Meetup builder) sees the same stream afterwards.
+Every path consumes the seed's generator identically, so a world built
+from the graph equals one built from the pairs, and a caller that
+shares its generator (the Meetup builder) sees the same stream
+afterwards.
 """
 
 from __future__ import annotations
@@ -41,6 +47,15 @@ Pair = Tuple[int, int]
 
 #: Pair-count density above which the dense backend is selected.
 _DENSE_THRESHOLD = 0.05
+
+#: Candidate-pair count from which the dense builder computes the rank
+#: set of ``choice``'s tail shuffle itself (:func:`_takes_tail_set`).
+#: Below it ``choice`` is as fast or faster: 0.6 vs 1.6 ms at |V| = 500,
+#: a tie at |V| = 2000 (DESIGN.md decision 16).
+_TAIL_SET_MIN_PAIRS = 1 << 22
+
+#: Draws per chunk when the tail set is built (512 KiB of int64).
+_TAIL_SET_CHUNK = 1 << 16
 
 
 def _normalize_pair(i: int, j: int) -> Pair:
@@ -295,25 +310,115 @@ def ConflictGraph(
     return backend(num_events, pair_input)
 
 
-def _sample_conflict_ranks(
-    num_events: int, conflict_ratio: float, seed: RngLike
-) -> np.ndarray:
-    """Draw ``round(cr * |V| (|V|-1) / 2)`` distinct pair ranks.
-
-    A rank is a flat index into the row-major upper triangle: row ``i``
-    owns ranks ``[offset_i, offset_i + |V| - 1 - i)``.  This is the only
-    place a random conflict set touches the generator, and it leaves
-    the generator untouched when the target is zero.
-    """
+def _conflict_target(num_events: int, conflict_ratio: float) -> Tuple[int, int]:
+    """Validate the arguments; return ``(total, target)``: the
+    candidate pairs ``|V| (|V|-1) / 2`` and ``round(cr * total)``."""
     if not 0.0 <= conflict_ratio <= 1.0:
         raise ConfigurationError(f"conflict_ratio must be in [0, 1], got {conflict_ratio}")
     if num_events < 1:
         raise ConfigurationError(f"num_events must be >= 1, got {num_events}")
     total = num_events * (num_events - 1) // 2
-    target = int(round(conflict_ratio * total))
+    return total, int(round(conflict_ratio * total))
+
+
+def _sample_conflict_ranks(
+    num_events: int, conflict_ratio: float, seed: RngLike
+) -> np.ndarray:
+    """Draw ``round(cr * |V| (|V|-1) / 2)`` distinct pair ranks, in order.
+
+    A rank is a flat index into the row-major upper triangle: row ``i``
+    owns ranks ``[offset_i, offset_i + |V| - 1 - i)``.  The pair path
+    and the graph paths draw here, except where the dense graph path
+    draws the same set through :func:`_mark_tail_shuffle_set`.  Both
+    leave the generator untouched when the target is zero.
+    """
+    total, target = _conflict_target(num_events, conflict_ratio)
     if target == 0:
         return np.empty(0, dtype=np.int64)
     return make_rng(seed).choice(total, size=target, replace=False)
+
+
+def _takes_tail_set(total: int, size: int) -> bool:
+    """Whether the dense builder computes the rank set itself
+    (:func:`_mark_tail_shuffle_set`) instead of calling ``choice``.
+
+    Only where numpy takes its tail-shuffle branch (``total > 10000``
+    and ``size > total // 50``), over at least ``_TAIL_SET_MIN_PAIRS``
+    candidates.  Below 2^31 candidates (|V| < 65,537) the builder's keys
+    fit 62 bits and its parent map int32.
+    """
+    return _TAIL_SET_MIN_PAIRS <= total < 1 << 31 and total > 10000 and size > total // 50
+
+
+def _mark_tail_shuffle_set(upper: np.ndarray, size: int, rng: np.random.Generator) -> None:
+    """Mark the set ``choice``'s tail shuffle returns, without its array.
+
+    ``choice(total, size, replace=False)`` in its tail-shuffle branch
+    fills ``a = arange(total)``, swaps ``a[i]`` with ``a[t_i]``, ``t_i``
+    uniform on ``[0, i]``, for ``i = total-1`` down to ``m = total -
+    size``, and returns ``a[m:]``.  That set is the one Floyd's
+    algorithm builds from the same draws in ascending ``i``: add ``t_i``,
+    or ``i`` when ``t_i`` is already in (DESIGN.md decision 16).  So it
+    holds every draw, plus each step ``i`` that added itself: when
+    ``t_i == i``, when an earlier step drew ``t_i`` too, or when
+    ``m <= t_i < i`` and step ``t_i`` added itself.  ``integers(0,
+    highs, endpoint=True)`` makes ``choice``'s bounded draws in its
+    order, so the generator ends where ``choice`` leaves it.  Peak
+    memory is ~10 bytes a drawn rank instead of ``choice``'s 8 bytes a
+    candidate.
+    """
+    total = upper.size
+    m = total - size
+    shift = size.bit_length()
+    low = (1 << shift) - 1
+    # Key (t_i << shift) | (i - m): sorting puts equal draws together,
+    # the earliest step first.
+    keys = np.empty(size, dtype=np.int64)
+    for start in range(0, size, _TAIL_SET_CHUNK):
+        stop = min(start + _TAIL_SET_CHUNK, size)
+        steps = np.arange(total - 1 - start, total - 1 - stop, -1, dtype=np.int64)
+        draws = rng.integers(0, steps, endpoint=True)
+        steps -= m
+        draws <<= shift
+        draws |= steps
+        keys[start:stop] = draws
+    keys.sort()
+    # ``added[i - m]``: step ``i`` added itself.  First, the repeats.
+    added = np.zeros(size, dtype=bool)
+    previous = -1
+    for start in range(0, size, _TAIL_SET_CHUNK):
+        chunk = keys[start : start + _TAIL_SET_CHUNK]
+        drawn = chunk >> shift
+        upper[drawn] = True
+        repeats = np.empty(drawn.size, dtype=bool)
+        repeats[0] = drawn[0] == previous
+        np.equal(drawn[1:], drawn[:-1], out=repeats[1:])
+        added[chunk[repeats] & low] = True
+        previous = drawn[-1]
+    # The draws that land in the tail (14% of them at cr = 0.25), copied
+    # out so the key buffer is freed before the parent map (``chunk`` is
+    # a view of it).
+    in_tail = keys[np.searchsorted(keys, m << shift) :].copy()
+    del keys, chunk
+    steps = in_tail & low
+    in_tail >>= shift
+    in_tail -= m
+    added[steps[in_tail == steps]] = True
+    below = in_tail < steps
+    steps, parents = steps[below], in_tail[below]
+    del in_tail, below
+    # Step ``i`` added itself if step ``t_i`` did: resolve the chains
+    # by pointer jumping (each round doubles the hops covered).
+    parent = np.full(size, -1, dtype=np.int32)
+    parent[steps] = parents
+    active = steps
+    while active.size:
+        up = parent[active]
+        added[active] |= added[up]
+        up = parent[up]
+        parent[active] = up
+        active = active[up >= 0]
+    upper[m:] |= added
 
 
 def _unrank_pairs(num_events: int, ranks: np.ndarray) -> np.ndarray:
@@ -340,14 +445,20 @@ def random_conflict_graph(
     slice copy per row, then a tiled mirror of the upper triangle.  The
     matrix depends only on the set of ranks, so the order the pair path
     would scatter them in does not matter.  At |V| = 10^4 and cr = 0.25
-    this skips unranking and scattering 12.5M pairs.
+    this skips unranking and scattering 12.5M pairs, and
+    :func:`_mark_tail_shuffle_set` skips ``choice``'s 381 MiB int64 array.
     """
-    ranks = _sample_conflict_ranks(num_events, conflict_ratio, seed)
-    if not _prefers_dense(num_events, ranks.size):
-        return ConflictGraph(num_events, _unrank_pairs(num_events, ranks), dense=False)
-    upper = np.zeros(num_events * (num_events - 1) // 2, dtype=bool)
-    upper[ranks] = True
-    del ranks  # 8 bytes a pair: free them before the |V|^2 matrix
+    total, target = _conflict_target(num_events, conflict_ratio)
+    if _prefers_dense(num_events, target) and _takes_tail_set(total, target):
+        upper = np.zeros(total, dtype=bool)
+        _mark_tail_shuffle_set(upper, target, make_rng(seed))
+    else:
+        ranks = _sample_conflict_ranks(num_events, conflict_ratio, seed)
+        if not _prefers_dense(num_events, ranks.size):
+            return ConflictGraph(num_events, _unrank_pairs(num_events, ranks), dense=False)
+        upper = np.zeros(total, dtype=bool)
+        upper[ranks] = True
+        del ranks  # 8 bytes a pair: free them before the |V|^2 matrix
     graph = DenseConflictGraph(num_events)
     matrix = graph._matrix
     offset = 0

@@ -11,7 +11,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # fasealint: the project's own AST-based reproducibility linter
-# (FAS001-FAS010; see DESIGN.md §5.7). Gates CI.
+# (FAS001-FAS010, FAS015-FAS016; see DESIGN.md §5.7). Gates CI.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro lint src benchmarks examples
 
@@ -22,8 +22,8 @@ analyze:
 
 # Quickstart equivalence checks (the CI equivalence job): health alert
 # onset, byte-identical decision/alert logs across runs and --jobs 4
-# (quickstart) and --jobs 1/2 (replicate, health.json too),
-# replay/diff/ope, and SIGKILL-then-resume serially and with --jobs 4.
+# (quickstart) and --jobs 1/2 (replicate, health.json too), repeated
+# `fasea run` health/alert logs, replay/diff/ope, and SIGKILL-then-resume serially and with --jobs 4.
 equivalence:
 	PYTHONPATH=src bash devtools/equivalence.sh
 

@@ -40,7 +40,7 @@ from repro.bandits.base import RoundView
 from repro.bandits.ucb import UcbPolicy
 from repro.datasets.synthetic import SyntheticConfig, SyntheticWorld, build_world
 from repro.io.checkpoint import CellCheckpointSpec
-from repro.obs.core import NULL_OBS, Instrumentation
+from repro.obs.core import NULL_OBS, Instrumentation, NullInstrumentation
 from repro.obs.flight import FlightBuffer, decision_record
 from repro.obs.health import HealthMonitor
 from repro.obs.profile import ProfileConfig
@@ -144,8 +144,8 @@ def _select_loop(policy: UcbPolicy, views: list) -> Callable[[], None]:
 
 def _observatory_guard(policy: UcbPolicy, views: list) -> Callable[[], None]:
     obs = NULL_OBS
-    profile = getattr(obs, "profile_config", None)
-    stream = getattr(obs, "stream_sink", None)
+    profile = obs.profile_config
+    stream = obs.stream_sink
     instrumented = obs.enabled
     profiling = instrumented and profile is not None
 
@@ -164,7 +164,7 @@ def _observatory_guard(policy: UcbPolicy, views: list) -> Callable[[], None]:
 
 def _flight_guard(policy: UcbPolicy, views: list) -> Callable[[], None]:
     """Flight off; ``select`` reads ``_capture_decisions`` on both sides of the pair."""
-    flight = None
+    flight = NULL_OBS.flight_recorder
     recording = flight is not None
 
     def run_guarded() -> None:
@@ -179,14 +179,14 @@ def _flight_guard(policy: UcbPolicy, views: list) -> Callable[[], None]:
 
 def _health_guard(policy: UcbPolicy, views: list) -> Callable[[], None]:
     obs = Instrumentation()
-    round_monitor = getattr(obs, "health_monitor", None)
+    round_monitor = obs.health_monitor
 
     def run_guarded() -> None:
         # The exact guard shape of fleet._record_policy_round + the
         # fleet.play_fleet round loop with --health off.
         for view in views:
             policy.select(view)
-            monitor = getattr(obs, "health_monitor", None)
+            monitor = obs.health_monitor
             if monitor is not None:  # pragma: no cover - off in this gate
                 monitor.observe_round(obs, policy.name, 0, 0.0)
             if round_monitor is not None:  # pragma: no cover - off in this gate
@@ -360,19 +360,21 @@ def _obs_runs(world: SyntheticWorld) -> Tuple[Runs, dict]:
         "obs_on": _play(world, obs=Instrumentation()),
     }
     obs = Instrumentation()
+    obs.profile_config = ProfileConfig(sample_every=16)
     with tempfile.TemporaryDirectory() as tmp, StreamingSink(
         tmp, obs, flush_every_rounds=50, flush_every_seconds=None
     ) as sink:
-        runs["obs_profile_stream"] = _play(
-            world, obs=obs, profile=ProfileConfig(sample_every=16), stream=sink
-        )
+        obs.stream_sink = sink
+        runs["obs_profile_stream"] = _play(world, obs=obs)
     return runs, {"horizon": world.config.horizon}
 
 
 def _flight_runs(world: SyntheticWorld) -> Tuple[Runs, dict]:
     """Recording off, then into a buffer that must hold one decision per round."""
     buffer = FlightBuffer()
-    runs = {"flight_off": _play(world), "flight_on": _play(world, flight=buffer)}
+    recording = NullInstrumentation()
+    recording.flight_recorder = buffer
+    runs = {"flight_off": _play(world), "flight_on": _play(world, obs=recording)}
     decisions = sum(record["kind"] == "decision" for record in buffer.records)
     if decisions != world.config.horizon:
         raise AssertionError(f"{decisions} decision records in {world.config.horizon} rounds")

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Quickstart equivalence checks: the learning-health gate, the flight
 # recorder's replay equivalence and crash-safe checkpoint/resume
-# (DESIGN.md §5.11-§5.13), on 8 quickstart and 2 replicate runs under
-# results/equivalence.
+# (DESIGN.md §5.11-§5.13), on 8 quickstart, 2 replicate and 2 `fasea run`
+# runs under results/equivalence.
 #
 #   bash devtools/equivalence.sh          # after pip install -e .
 #   make equivalence                      # from a source checkout
@@ -102,6 +102,15 @@ done
 for log in decisions.jsonl alerts.jsonl health.json; do
     cmp "$OUT/replicate-jobs1/$log" "$OUT/replicate-jobs2/$log" \
         || fail "$log differs: replicate --jobs 1 vs --jobs 2"
+done
+
+step "fasea run health and alert logs are byte-identical across runs"
+for run in a b; do
+    fasea run fig2 --horizon 150 --health --stream --profile 8 --quiet \
+        --out "$OUT/run-$run" || fail "run fig2 ($run)"
+done
+for log in health.json alerts.jsonl; do
+    cmp "$OUT/run-a/fig2/$log" "$OUT/run-b/fig2/$log" || fail "$log differs: run fig2 a vs b"
 done
 
 step "replay, diff and off-policy evaluation"

@@ -9,6 +9,26 @@ Subcommands
     reports under ``--out`` (default ``results/``).
 ``quickstart``
     A tiny end-to-end demonstration run on the default setting.
+``replicate``
+    Re-run the default comparison across several seeds with 95% CIs.
+``claims [ids...]``
+    Re-certify the paper's summary claims (C1..C5).
+``export-damai``
+    Write the Damai-like dataset to CSV/JSON.
+``diff <baseline> <candidate>``
+    Compare two results directories for drift.
+``report``
+    Grade a results directory into a markdown report.
+``lint``
+    Run fasealint, the reproducibility and numerical-contract rules.
+``analyze``
+    Whole-program determinism analysis (call-graph rules).
+``obs``
+    Inspect run telemetry, profiles, health and flight logs.
+
+``run``, ``quickstart`` and ``replicate`` attach their observers
+(telemetry, profiler, stream, flight log, health monitor) through one
+session, :func:`_observer_session`.
 """
 
 from __future__ import annotations
@@ -16,11 +36,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, ContextManager, Iterator, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import get_experiment, list_experiments, render_result, save_result
+
+if TYPE_CHECKING:
+    from repro.obs.console import Console
+    from repro.obs.core import InstrumentationLike
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,45 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--quiet", action="store_true", help="do not print reports to stdout"
     )
-    run.add_argument(
-        "--obs",
-        action="store_true",
-        help=(
-            "record run telemetry (metrics.json + trace.jsonl) alongside "
-            "each experiment's reports; inspect with 'fasea obs'"
-        ),
-    )
-    run.add_argument(
-        "--profile",
-        nargs="?",
-        const=16,
-        default=None,
-        type=int,
-        metavar="N",
-        help=(
-            "enable the deterministic sampling profiler (implies --obs): "
-            "sample every N-th round (default 16) and write profile.json "
-            "+ profile.folded next to each experiment's reports"
-        ),
-    )
-    run.add_argument(
-        "--stream",
-        action="store_true",
-        help=(
-            "stream telemetry incrementally while running (implies --obs); "
-            "follow with 'fasea obs top <dir>' from another terminal"
-        ),
-    )
-    run.add_argument(
-        "--health",
-        action="store_true",
-        help=(
-            "enable the learning-health monitor (implies --obs): online "
-            "changepoint detectors write health.json and the built-in "
-            "alerts append to alerts.jsonl next to each experiment's "
-            "reports"
-        ),
-    )
+    _add_observer_arguments(run, "next to each experiment's reports")
     _add_checkpoint_arguments(
         run,
         "cache each completed work unit under <out>/checkpoints/<id> so "
@@ -97,28 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     quickstart = sub.add_parser("quickstart", help="run a tiny demonstration")
-    quickstart.add_argument(
-        "--obs",
-        action="store_true",
-        help="record telemetry for the demonstration run",
-    )
-    quickstart.add_argument(
-        "--profile",
-        nargs="?",
-        const=16,
-        default=None,
-        type=int,
-        metavar="N",
-        help=(
-            "enable the sampling profiler (implies --obs); writes "
-            "profile.json + profile.folded under --out"
-        ),
-    )
-    quickstart.add_argument(
-        "--stream",
-        action="store_true",
-        help="stream telemetry while running (implies --obs)",
-    )
+    _add_observer_arguments(quickstart, "under --out")
     quickstart.add_argument(
         "--flight",
         action="store_true",
@@ -126,15 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
             "record a decision flight log (decisions.jsonl, implies "
             "--obs); replay with 'fasea obs replay <out>', evaluate "
             "counterfactually with 'fasea obs ope <out> --policy NAME'"
-        ),
-    )
-    quickstart.add_argument(
-        "--health",
-        action="store_true",
-        help=(
-            "enable the learning-health monitor (implies --obs): writes "
-            "health.json + alerts.jsonl under --out; inspect with 'fasea "
-            "obs health <out>' or follow live with 'fasea obs top <out>'"
         ),
     )
     quickstart.add_argument(
@@ -295,6 +252,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_observer_arguments(parser: argparse.ArgumentParser, where: str) -> None:
+    """Attach the shared ``--obs`` / ``--profile`` / ``--stream`` / ``--health`` flags."""
+    parser.add_argument(
+        "--obs",
+        action="store_true",
+        help=(
+            f"record run telemetry (metrics.json + trace.jsonl) {where}; "
+            "inspect with 'fasea obs'"
+        ),
+    )
+    parser.add_argument(
+        "--profile",
+        nargs="?",
+        const=16,
+        default=None,
+        type=int,
+        metavar="N",
+        help=(
+            "enable the deterministic sampling profiler (implies --obs): "
+            "sample every N-th round (default 16) and write profile.json "
+            f"+ profile.folded {where}"
+        ),
+    )
+    parser.add_argument(
+        "--stream",
+        action="store_true",
+        help=(
+            "stream telemetry incrementally while running (implies --obs); "
+            "follow with 'fasea obs top <dir>' from another terminal"
+        ),
+    )
+    parser.add_argument(
+        "--health",
+        action="store_true",
+        help=(
+            "enable the learning-health monitor (implies --obs): online "
+            "changepoint detectors write health.json and the built-in "
+            f"alerts append to alerts.jsonl {where}; inspect with 'fasea "
+            "obs health <dir>'"
+        ),
+    )
+
+
 def _add_checkpoint_arguments(parser: argparse.ArgumentParser, what: str) -> None:
     """Attach the shared ``--checkpoint`` / ``--resume`` pair."""
     from repro.io.checkpoint import DEFAULT_CHECKPOINT_EVERY
@@ -363,33 +363,90 @@ def _resolve_checkpointing(
     return directory, int(checkpoint_every), False
 
 
-def _attach_health(obs: "object", directory: "object"):
-    """Attach a health monitor writing ``alerts.jsonl`` in ``directory``.
+def _observers_requested(args: argparse.Namespace) -> bool:
+    """Whether any observer flag is set (``--flight`` is a switch or a DIR)."""
+    return getattr(args, "profile", None) is not None or any(
+        getattr(args, flag, None) for flag in ("obs", "stream", "flight", "health")
+    )
 
-    The caller must ``monitor.alerts.close()`` in its ``finally`` and
-    call :func:`repro.obs.health.persist_health` after the run.
+
+@contextmanager
+def _observer_session(
+    args: argparse.Namespace,
+    directory: Union[str, Path],
+    console: "Console",
+    flight_header: Optional[dict] = None,
+    label: str = "",
+) -> Iterator["InstrumentationLike"]:
+    """Attach the run's observers to one registry and install it as current.
+
+    ``--profile``, ``--stream`` and ``--health`` come from ``args``; a
+    ``flight_header`` records the decision flight log.  Every artefact
+    goes into ``directory``.  With no observer flag set this yields
+    :data:`~repro.obs.core.NULL_OBS`.  The stream, flight log and alert
+    log are closed however the run ends.  On success ``metrics.json`` +
+    ``trace.jsonl``, ``health.json`` and the profile are persisted, one
+    ``console`` line per artefact, each prefixed with ``[label]``.
     """
-    from repro.obs.flight import FlightRecorder
-    from repro.obs.health import ALERTS_FILENAME, HealthMonitor
+    from repro.obs.core import NULL_OBS, Instrumentation, use
 
-    monitor = HealthMonitor(FlightRecorder(directory, filename=ALERTS_FILENAME))
-    obs.health_monitor = monitor
-    return monitor
+    if not _observers_requested(args):
+        with use(NULL_OBS):
+            yield NULL_OBS
+        return
+    from repro.io.runstore import persist_run_telemetry
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.health import ALERTS_FILENAME, HealthMonitor, persist_health
+    from repro.obs.profile import Profile, ProfileConfig, write_profile
+    from repro.obs.stream import StreamingSink
+
+    obs = Instrumentation()
+    profile_every = getattr(args, "profile", None)
+    try:
+        if profile_every is not None:
+            obs.profile_config = ProfileConfig(sample_every=profile_every)
+        if getattr(args, "stream", False):
+            obs.stream_sink = StreamingSink(directory, obs)
+        if flight_header is not None:
+            obs.flight_recorder = FlightRecorder(directory, run=flight_header)
+        if getattr(args, "health", False):
+            obs.health_monitor = HealthMonitor(
+                FlightRecorder(directory, filename=ALERTS_FILENAME)
+            )
+        with use(obs):
+            yield obs
+    finally:
+        if obs.stream_sink is not None:
+            obs.stream_sink.close()
+        if obs.flight_recorder is not None:
+            obs.flight_recorder.close()
+        if obs.health_monitor is not None:
+            obs.health_monitor.alerts.close()
+    prefix = f"[{label}] " if label else ""
+    paths = persist_run_telemetry(directory, obs)
+    console.info(f"{prefix}telemetry in {paths['metrics'].parent}")
+    if obs.flight_recorder is not None:
+        console.info(f"{prefix}decision flight log in {obs.flight_recorder.path}")
+    monitor = obs.health_monitor
+    if monitor is not None:
+        health_path = persist_health(directory, monitor)
+        console.info(
+            f"{prefix}health log in {health_path} ({len(monitor.events)} "
+            f"events, {monitor.alerts.num_records} alerts)"
+        )
+    if profile_every is not None:
+        profile_paths = write_profile(
+            directory, Profile.from_trace_records(obs.trace_records())
+        )
+        console.info(f"{prefix}profile in {profile_paths['profile']}")
 
 
 def _run_experiments(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+
     from repro.obs.console import Console
 
     console = Console(quiet=args.quiet)
-    profile_every = getattr(args, "profile", None)
-    stream_enabled = bool(getattr(args, "stream", False))
-    health = bool(getattr(args, "health", False))
-    record_obs = (
-        bool(getattr(args, "obs", False))
-        or profile_every is not None
-        or stream_enabled
-        or health
-    )
     ids = list_experiments() if "all" in args.ids else args.ids
     outdir = Path(args.out)
     ckpt_base, _, resuming = _resolve_checkpointing(
@@ -402,7 +459,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "horizon": args.horizon,
         },
-        health,
+        args.health,
     )
     for experiment_id in ids:
         runner = get_experiment(experiment_id)
@@ -416,6 +473,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
             # The real dataset has its own canonical seed.
             kwargs["seed"] = 2016 if args.seed == 0 else args.seed
         started = time.perf_counter()
+        checkpoint_scope: ContextManager[object] = nullcontext()
         if ckpt_base is not None:
             from repro.io.checkpoint import (
                 ExecutorCheckpoint,
@@ -429,66 +487,15 @@ def _run_experiments(args: argparse.Namespace) -> int:
             checkpoint_scope = executor_checkpoint_scope(
                 ExecutorCheckpoint(ckpt_base / experiment_id, resume=resuming)
             )
-        else:
-            from contextlib import nullcontext
-
-            checkpoint_scope = nullcontext()
-        if record_obs:
-            from repro.obs.core import Instrumentation, use
-
-            obs = Instrumentation()
-            stream_sink = None
-            if profile_every is not None:
-                from repro.obs.profile import ProfileConfig
-
-                obs.profile_config = ProfileConfig(sample_every=profile_every)
-            if stream_enabled:
-                from repro.obs.stream import StreamingSink
-
-                # save_result writes into outdir/<id>/ — stream there so
-                # the live artefacts and the final ones share a home.
-                stream_sink = StreamingSink(outdir / experiment_id, obs)
-                obs.stream_sink = stream_sink
-            health_monitor = None
-            if health:
-                health_monitor = _attach_health(obs, outdir / experiment_id)
-            try:
-                with checkpoint_scope:
-                    with obs.span("experiment", experiment_id=experiment_id):
-                        with use(obs):
-                            result = runner(**kwargs)
-            finally:
-                if stream_sink is not None:
-                    stream_sink.close()
-                if health_monitor is not None:
-                    health_monitor.alerts.close()
-        else:
-            obs = None
-            with checkpoint_scope:
+        # save_result writes into outdir/<id>/ — the observers write
+        # there too, so the live artefacts and the final ones share a home.
+        with _observer_session(
+            args, outdir / experiment_id, console, label=experiment_id
+        ) as obs:
+            with checkpoint_scope, obs.span("experiment", experiment_id=experiment_id):
                 result = runner(**kwargs)
-        elapsed = time.perf_counter() - started
+            elapsed = time.perf_counter() - started
         directory = save_result(result, outdir)
-        if obs is not None:
-            from repro.io.runstore import persist_run_telemetry
-
-            persist_run_telemetry(directory, obs)
-            console.info(f"[{experiment_id}] telemetry in {directory}")
-            if health_monitor is not None:
-                from repro.obs.health import persist_health
-
-                persist_health(directory, health_monitor)
-                console.info(
-                    f"[{experiment_id}] health events: "
-                    f"{len(health_monitor.events)}, alerts: "
-                    f"{health_monitor.alerts.num_records}"
-                )
-            if profile_every is not None:
-                from repro.obs.profile import Profile, write_profile
-
-                paths = write_profile(
-                    directory, Profile.from_trace_records(obs.trace_records())
-                )
-                console.info(f"[{experiment_id}] profile in {paths['profile']}")
         console.result(render_result(result))
         console.info(f"[{experiment_id}] saved to {directory} ({elapsed:.1f}s)")
     return 0
@@ -505,7 +512,6 @@ _QUICKSTART_POLICY_SEED = 7
 def _quickstart(args: argparse.Namespace) -> int:
     from repro import SyntheticConfig
     from repro.obs.console import Console
-    from repro.obs.core import NULL_OBS, use
     from repro.parallel import (
         OPT_KEY,
         PolicyRunCell,
@@ -514,20 +520,6 @@ def _quickstart(args: argparse.Namespace) -> int:
     )
 
     console = Console(quiet=args.quiet)
-    profile_every = getattr(args, "profile", None)
-    stream_enabled = bool(getattr(args, "stream", False))
-    flight_enabled = bool(getattr(args, "flight", False))
-    health = bool(getattr(args, "health", False))
-    record_obs = (
-        bool(getattr(args, "obs", False))
-        or profile_every is not None
-        or stream_enabled
-        or flight_enabled
-        or health
-    )
-    stream_sink = None
-    flight_recorder = None
-    health_monitor = None
     config = SyntheticConfig.scaled_default(seed=42)
     ckpt_dir, ckpt_every, resuming = _resolve_checkpointing(
         args,
@@ -538,46 +530,23 @@ def _quickstart(args: argparse.Namespace) -> int:
             "run_seed": _QUICKSTART_RUN_SEED,
             "policy_seed": _QUICKSTART_POLICY_SEED,
             "policies": list(_QUICKSTART_POLICIES),
-            "flight": flight_enabled,
-            "obs": record_obs,
+            "flight": args.flight,
+            "obs": _observers_requested(args),
         },
-        health,
+        args.health,
     )
-    if record_obs:
-        from repro.obs.core import Instrumentation
-
-        obs = Instrumentation()
-        if profile_every is not None:
-            from repro.obs.profile import ProfileConfig
-
-            obs.profile_config = ProfileConfig(sample_every=profile_every)
-        if stream_enabled:
-            from repro.obs.stream import StreamingSink
-
-            stream_sink = StreamingSink(args.out, obs)
-            obs.stream_sink = stream_sink
-        if flight_enabled:
-            from repro.obs.flight import FlightRecorder, make_run_header
-
-            specs = [{"name": OPT_KEY}] + [
-                {"name": name, "seed": _QUICKSTART_POLICY_SEED}
-                for name in _QUICKSTART_POLICIES
-            ]
-            flight_recorder = FlightRecorder(
-                args.out,
-                run=make_run_header(
-                    config,
-                    _QUICKSTART_HORIZON,
-                    _QUICKSTART_RUN_SEED,
-                    specs,
-                ),
-            )
-            obs.flight_recorder = flight_recorder
-        if health:
-            health_monitor = _attach_health(obs, args.out)
-    else:
-        obs = NULL_OBS
     names = (OPT_KEY, *_QUICKSTART_POLICIES)
+    flight_header = None
+    if args.flight:
+        from repro.obs.flight import make_run_header
+
+        specs = [{"name": OPT_KEY}] + [
+            {"name": name, "seed": _QUICKSTART_POLICY_SEED}
+            for name in _QUICKSTART_POLICIES
+        ]
+        flight_header = make_run_header(
+            config, _QUICKSTART_HORIZON, _QUICKSTART_RUN_SEED, specs
+        )
     executor_checkpoint = None
     if ckpt_dir is not None:
         from repro.io.checkpoint import CellCheckpointSpec, ExecutorCheckpoint
@@ -603,26 +572,18 @@ def _quickstart(args: argparse.Namespace) -> int:
         )
         for name in names
     ]
-    try:
-        with use(obs):
-            histories = dict(
-                zip(
-                    names,
-                    run_work_units(
-                        run_policy_run_cell,
-                        cells,
-                        jobs=args.jobs,
-                        checkpoint=executor_checkpoint,
-                    ),
-                )
+    with _observer_session(args, args.out, console, flight_header):
+        histories = dict(
+            zip(
+                names,
+                run_work_units(
+                    run_policy_run_cell,
+                    cells,
+                    jobs=args.jobs,
+                    checkpoint=executor_checkpoint,
+                ),
             )
-    finally:
-        if stream_sink is not None:
-            stream_sink.close()
-        if flight_recorder is not None:
-            flight_recorder.close()
-        if health_monitor is not None:
-            health_monitor.alerts.close()
+        )
     opt_history = histories[OPT_KEY]
     console.result("policy     accept_ratio  total_reward  regret_vs_OPT")
     for name in _QUICKSTART_POLICIES:
@@ -632,29 +593,6 @@ def _quickstart(args: argparse.Namespace) -> int:
             f"{name:<10} {history.overall_accept_ratio:>12.3f} "
             f"{history.total_reward:>13.0f} {regret:>14.0f}"
         )
-    if record_obs:
-        from repro.io.runstore import persist_run_telemetry
-
-        paths = persist_run_telemetry(args.out, obs)
-        console.info(f"telemetry written to {paths['metrics'].parent}")
-        if flight_recorder is not None:
-            console.info(f"decision flight log in {flight_recorder.path}")
-        if health_monitor is not None:
-            from repro.obs.health import persist_health
-
-            health_path = persist_health(args.out, health_monitor)
-            console.info(
-                f"health log in {health_path} "
-                f"({len(health_monitor.events)} events, "
-                f"{health_monitor.alerts.num_records} alerts)"
-            )
-        if profile_every is not None:
-            from repro.obs.profile import Profile, write_profile
-
-            profile_paths = write_profile(
-                args.out, Profile.from_trace_records(obs.trace_records())
-            )
-            console.info(f"profile written to {profile_paths['profile']}")
     return 0
 
 
@@ -664,12 +602,9 @@ def _replicate(args: argparse.Namespace) -> int:
     from repro.datasets.synthetic import SyntheticConfig
     from repro.experiments.reporting import format_table
     from repro.io import RunStore
-    from repro.obs.core import NULL_OBS, use
+    from repro.obs.console import Console
 
     config = SyntheticConfig.scaled_default().with_overrides(horizon=args.horizon)
-    store = RunStore(args.store) if args.store else None
-    flight_recorder = None
-    health_monitor = None
     if args.health and not args.flight:
         raise ConfigurationError(
             "--health requires --flight DIR (health.json and "
@@ -686,27 +621,16 @@ def _replicate(args: argparse.Namespace) -> int:
         },
         args.health,
     )
-    obs = NULL_OBS
+    flight_header = None
     if args.flight:
-        from repro.obs.core import Instrumentation
-        from repro.obs.flight import FlightRecorder, make_replication_header
+        from repro.obs.flight import make_replication_header
 
-        obs = Instrumentation()
-        flight_recorder = FlightRecorder(
-            args.flight,
-            run=make_replication_header(
-                config,
-                args.horizon,
-                range(args.seeds),
-                POLICY_NAMES,
-                policy_seed=1,
-            ),
+        flight_header = make_replication_header(
+            config, args.horizon, range(args.seeds), POLICY_NAMES, policy_seed=1
         )
-        obs.flight_recorder = flight_recorder
-        if args.health:
-            health_monitor = _attach_health(obs, args.flight)
+    store = RunStore(args.store) if args.store else None
     try:
-        with use(obs):
+        with _observer_session(args, args.flight, Console(), flight_header):
             result = replicate_policies(
                 config,
                 seeds=range(args.seeds),
@@ -723,24 +647,6 @@ def _replicate(args: argparse.Namespace) -> int:
     finally:
         if store is not None:
             store.close()
-        if flight_recorder is not None:
-            flight_recorder.close()
-        if health_monitor is not None:
-            health_monitor.alerts.close()
-    if flight_recorder is not None:
-        from repro.io.runstore import persist_run_telemetry
-
-        persist_run_telemetry(args.flight, obs)
-        print(f"decision flight log in {flight_recorder.path}", file=sys.stderr)
-        if health_monitor is not None:
-            from repro.obs.health import persist_health
-
-            persist_health(args.flight, health_monitor)
-            print(
-                f"health log: {len(health_monitor.events)} events, "
-                f"{health_monitor.alerts.num_records} alerts",
-                file=sys.stderr,
-            )
     if result.failures:
         for seed, failure in sorted(result.failures.items()):
             print(

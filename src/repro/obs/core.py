@@ -431,20 +431,18 @@ class Instrumentation:
         self._trace: List[Dict[str, Any]] = []
         self._span_stack: List[int] = []
         self._span_serial = 0
-        # Ambient run-observatory configuration.  The CLI sets these so
-        # ``--profile`` / ``--stream`` reach every runner an experiment
-        # calls without threading new parameters through the whole
-        # experiments package; runners fall back to them when their own
-        # ``profile`` / ``stream`` arguments are None (see
-        # ``repro.simulation.fleet.play_fleet``).  Typed loosely to avoid a
-        # circular import with ``repro.obs.profile`` / ``.stream``.
+        # The run's observers: the profiler config (repro.obs.profile),
+        # streaming sink (repro.obs.stream), decision flight recorder
+        # (repro.obs.flight) and learning-health monitor
+        # (repro.obs.health, which also evaluates the built-in alerts).
+        # The registry is their only carrier, so the CLI's flags reach
+        # every round loop an experiment runs without threading
+        # parameters through the experiments package
+        # (``repro.simulation.fleet.play_fleet`` reads them here).
+        # Typed loosely to avoid circular imports.
         self.profile_config: Optional[Any] = None
         self.stream_sink: Optional[Any] = None
-        # Ambient decision flight recorder (repro.obs.flight); runners
-        # fall back to it when their ``flight`` argument is None.
         self.flight_recorder: Optional[Any] = None
-        # Ambient learning-health monitor (repro.obs.health), which
-        # also evaluates the built-in alerts; set by ``--health``.
         self.health_monitor: Optional[Any] = None
 
     # -- metric accessors ---------------------------------------------
@@ -681,6 +679,16 @@ class NullInstrumentation:
     """
 
     enabled = False
+
+    def __init__(self) -> None:
+        # The observers of :class:`Instrumentation`.  The round loop
+        # records into a flight recorder even with telemetry off (as
+        # ``fasea obs replay`` does on its own instance); the shared
+        # :data:`NULL_OBS` is never given one.
+        self.profile_config: Optional[Any] = None
+        self.stream_sink: Optional[Any] = None
+        self.flight_recorder: Optional[Any] = None
+        self.health_monitor: Optional[Any] = None
 
     def counter(self, name: str) -> Counter:
         return _NULL_METRIC  # type: ignore[return-value]

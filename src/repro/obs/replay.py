@@ -26,7 +26,7 @@ from repro.bandits import OptPolicy, make_policy
 from repro.bandits.base import Policy
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.exceptions import ConfigurationError, SchemaError
-from repro.obs.core import NULL_OBS
+from repro.obs.core import NullInstrumentation
 from repro.obs.flight import (
     FlightBuffer,
     FlightLog,
@@ -162,14 +162,14 @@ def _replay_policies(
     for spec in header.get("policies", []):
         policy = build_policy_from_spec(spec, world)
         label = str(spec.get("label", spec["name"]))
-        buffer = FlightBuffer()
+        obs = NullInstrumentation()
+        buffer = obs.flight_recorder = FlightBuffer()
         run_policy(
             policy,
             world,
             horizon=horizon,
             run_seed=run_seed,
-            obs=NULL_OBS,
-            flight=buffer,
+            obs=obs,
         )
         logged = _filter_until(logged_by_policy.get(label, []), until)
         groups.append(_compare_group(label, logged, buffer.records))
@@ -193,15 +193,15 @@ def _replay_replication(
             policies[name] = make_policy(
                 name, dim=config.dim, seed=policy_seed
             )
-        buffer = FlightBuffer()
+        obs = NullInstrumentation()
+        buffer = obs.flight_recorder = FlightBuffer()
         buffer.record(cell_record(seed))
         run_policy_fleet(
             policies,
             world,
             horizon=horizon,
             run_seed=seed,
-            obs=NULL_OBS,
-            flight=buffer,
+            obs=obs,
         )
         replayed = [r for r in buffer.records if r.get("kind") == "decision"]
         groups.append(

@@ -63,7 +63,7 @@ def run_replication_cell(cell: ReplicationCell) -> Dict[str, History]:
         policies[name] = make_policy(
             name, dim=cell.config.dim, seed=cell.policy_seed
         )
-    flight = getattr(current(), "flight_recorder", None)
+    flight = current().flight_recorder
     if flight is not None:
         # Group this seed's decisions behind a cell marker so the log
         # stays parseable per seed after the submission-order merge.

@@ -333,7 +333,7 @@ def _run_serial_instrumented(
     obs.counter(UNITS_METRIC).inc(len(units))
     timer = obs.timer(CELL_SECONDS_METRIC)
     series = obs.series(CELL_WALL_SECONDS_METRIC)
-    monitor = getattr(obs, "health_monitor", None)
+    monitor = obs.health_monitor
     results: List[R] = []
     with obs.span("run_work_units", jobs=1, units=len(units)):
         for index, unit in enumerate(units):
@@ -362,13 +362,13 @@ def _run_outcomes(
     scope: Optional[UnitCacheScope],
 ) -> List[Union[R, UnitFailure]]:
     """Cache lookup, execution (inline or pooled) and the ordered merge."""
-    flight = getattr(obs, "flight_recorder", None)
-    monitor = getattr(obs, "health_monitor", None)
+    flight = obs.flight_recorder
+    monitor = obs.health_monitor
     telemetry = (
         _Telemetry(
             flight=flight is not None,
             health=monitor is not None,
-            profile_config=getattr(obs, "profile_config", None),
+            profile_config=obs.profile_config,
         )
         if obs.enabled
         else None

@@ -57,8 +57,6 @@ from repro.obs.health import (
     REWARD_METRIC,
     THETA_DRIFT_METRIC,
 )
-from repro.obs.profile import ProfileConfig
-from repro.obs.stream import StreamingSink
 from repro.simulation.environment import (
     ENV_ACCEPTED_EVENTS_METRIC,
     ENV_ARRANGED_EVENTS_METRIC,
@@ -112,7 +110,7 @@ def _record_policy_round(
         drift = float(np.linalg.norm(estimate - theta_true))
         obs.series(policy.obs_name(THETA_DRIFT_METRIC)).append(time_step, drift)
     label = policy._obs_label or policy.name
-    monitor = getattr(obs, "health_monitor", None)
+    monitor = obs.health_monitor
     num_events = len(store)
     for event_id in entry.accepted:
         if store.remaining(event_id) <= 0.0:
@@ -131,12 +129,10 @@ def _record_policy_round(
                 )
     if monitor is not None:
         fill_rate: Optional[float] = None
-        fill_series = getattr(obs, "get_metric", None)
-        if fill_series is not None:
-            metric = obs.get_metric(policy.obs_name(FILL_RATE_SERIES_METRIC))
-            points = getattr(metric, "points", None)
-            if points and points[-1][0] == time_step:
-                fill_rate = float(points[-1][1])
+        metric = obs.get_metric(policy.obs_name(FILL_RATE_SERIES_METRIC))
+        points = getattr(metric, "points", None)
+        if points and points[-1][0] == time_step:
+            fill_rate = float(points[-1][1])
         monitor.observe_round(obs, label, time_step, reward, drift, fill_rate)
 
 
@@ -161,7 +157,7 @@ def open_run_checkpointer(
     """
     from repro.io.checkpoint import RunCheckpointer
 
-    if getattr(obs, "health_monitor", None) is not None:
+    if obs.health_monitor is not None:
         raise ConfigurationError(
             "round checkpointing cannot capture health-monitor detector "
             "state; run without --health or without --checkpoint"
@@ -216,9 +212,6 @@ def run_policy_fleet(
     kendall_checkpoints: Optional[Sequence[int]] = None,
     eval_contexts: Optional[np.ndarray] = None,
     obs: Optional[InstrumentationLike] = None,
-    profile: Optional[ProfileConfig] = None,
-    stream: Optional[StreamingSink] = None,
-    flight: Optional[object] = None,
     checkpoint: Optional["CellCheckpointSpec"] = None,
 ) -> Dict[str, History]:
     """Play every policy on one shared stream; return histories by name.
@@ -236,7 +229,7 @@ def run_policy_fleet(
     return play_fleet(
         policies, RoundStream(world, run_seed), horizon,
         kendall=kendall_probe(world, horizon, track_kendall, kendall_checkpoints, eval_contexts),
-        obs=obs, profile=profile, stream=stream, flight=flight, checkpoint=checkpoint,
+        obs=obs, checkpoint=checkpoint,
         span_name="run_policy_fleet",
         span_attrs={"policies": list(policies), "horizon": horizon, "run_seed": run_seed},
     )
@@ -251,9 +244,6 @@ def play_fleet(
     span_attrs: Mapping[str, object],
     kendall: Optional[KendallProbe] = None,
     obs: Optional[InstrumentationLike] = None,
-    profile: Optional[ProfileConfig] = None,
-    stream: Optional[StreamingSink] = None,
-    flight: Optional[object] = None,
     checkpoint: Optional["CellCheckpointSpec"] = None,
 ) -> Dict[str, History]:
     """The round loop: play every policy for ``horizon`` rounds of ``source``.
@@ -262,11 +252,21 @@ def play_fleet(
     round ``source.reveal(t)``, read once.  The run sits in one span,
     ``span_name`` with ``span_attrs``.  ``kendall`` records each
     policy's tau at the probe's rounds the run reaches, in round order.
-    The observers mean what they mean for
-    :func:`~repro.simulation.runner.run_policy`, with each policy
-    labelled by its dict key: its metrics, its ``step:<key>`` profiler
-    span (holding ``select``/``commit``/``observe`` phase spans) and its
-    flight records.  Round checkpoints save the shared stream positions
+    Each policy is labelled by its dict key in what the observers on
+    ``obs`` (default :func:`repro.obs.core.current`) record:
+
+    * telemetry, when ``obs`` is enabled: per-policy metrics, and the
+      health monitor ``obs.health_monitor``'s detectors, its alerts
+      evaluated once per round;
+    * ``obs.profile_config``, when enabled: on sampled rounds a
+      ``round`` span holding a ``step:<key>`` span per policy, each
+      with ``select``/``commit``/``observe`` phase spans;
+    * ``obs.stream_sink``, when enabled: offered one ``maybe_flush``
+      per round;
+    * ``obs.flight_recorder``, even on a disabled registry: one
+      ``decision`` record per policy step.
+
+    Round checkpoints save the shared stream positions
     once and each policy's state under a per-policy prefix; they need a
     :class:`~repro.simulation.environment.RoundStream` source.
 
@@ -280,15 +280,12 @@ def play_fleet(
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     obs = obs if obs is not None else current()
     instrumented = obs.enabled
-    if profile is None:
-        profile = getattr(obs, "profile_config", None)
-    if stream is None:
-        stream = getattr(obs, "stream_sink", None)
-    if flight is None:
-        flight = getattr(obs, "flight_recorder", None)
+    profile = obs.profile_config
+    stream = obs.stream_sink
+    flight = obs.flight_recorder
     recording = flight is not None
     profiling = instrumented and profile is not None
-    monitor = getattr(obs, "health_monitor", None) if instrumented else None
+    monitor = obs.health_monitor if instrumented else None
     if instrumented or recording:
         # Recording needs the label too: the "policy" field of each
         # decision record is the fleet key, not the algorithm name.

@@ -24,8 +24,6 @@ import numpy as np
 from repro.bandits.base import Policy
 from repro.datasets.synthetic import SyntheticWorld
 from repro.obs.core import InstrumentationLike
-from repro.obs.profile import ProfileConfig
-from repro.obs.stream import StreamingSink
 from repro.simulation.environment import RoundStream
 from repro.simulation.fleet import kendall_probe, play_fleet
 from repro.simulation.history import History
@@ -43,9 +41,6 @@ def run_policy(
     kendall_checkpoints: Optional[Sequence[int]] = None,
     eval_contexts: Optional[np.ndarray] = None,
     obs: Optional[InstrumentationLike] = None,
-    profile: Optional[ProfileConfig] = None,
-    stream: Optional[StreamingSink] = None,
-    flight: Optional[object] = None,
     checkpoint: Optional["CellCheckpointSpec"] = None,
 ) -> History:
     """Play ``policy`` for ``horizon`` rounds and return its history.
@@ -76,24 +71,10 @@ def run_policy(
         (:func:`repro.obs.core.current`).  When enabled the run records
         per-round theta-drift, select/observe timings, oracle telemetry
         and capacity-exhaustion events — none of which touch the RNG
-        streams, so results are bit-identical either way.
-    profile:
-        Round-sampling profiler configuration.  On sampled rounds the
-        runner opens a ``round`` span holding a ``step:<policy>`` span
-        with nested ``select`` / ``commit`` / ``observe`` phase spans;
-        requires an enabled ``obs`` to have any effect.
-    stream:
-        Streaming telemetry sink; offered one ``maybe_flush`` per
-        round (only when instrumented) so long runs publish durable
-        ``metrics.json`` / ``trace.jsonl`` incrementally.
-    flight:
-        Decision flight recorder (:class:`~repro.obs.flight.
-        FlightRecorder` or :class:`~repro.obs.flight.FlightBuffer`);
-        defaults to the ambient ``obs.flight_recorder``.  When set,
-        the policy captures its decision surface each round and one
-        ``decision`` record per round is appended.  Recording never
-        touches an RNG stream, so rewards are bit-identical with it
-        on or off.
+        streams, so results are bit-identical either way.  The registry
+        also carries the run's observers (``profile_config``,
+        ``stream_sink``, ``flight_recorder``, ``health_monitor``); see
+        :func:`~repro.simulation.fleet.play_fleet`.
     checkpoint:
         A :class:`~repro.io.checkpoint.CellCheckpointSpec`.  Every
         ``every``-th round boundary the runner atomically saves the
@@ -109,7 +90,7 @@ def run_policy(
     return play_fleet(
         {policy.name: policy}, RoundStream(world, run_seed), horizon,
         kendall=kendall_probe(world, horizon, track_kendall, kendall_checkpoints, eval_contexts),
-        obs=obs, profile=profile, stream=stream, flight=flight, checkpoint=checkpoint,
+        obs=obs, checkpoint=checkpoint,
         span_name="run_policy",
         span_attrs={"policy": policy.name, "horizon": horizon, "run_seed": run_seed},
     )[policy.name]

@@ -69,9 +69,8 @@ def run_dir(tmp_path_factory):
         with StreamingSink(
             directory, obs, flush_every_rounds=1, flush_every_seconds=None
         ) as sink:
-            run_policy(
-                OptPolicy(world.theta), world, run_seed=0, obs=obs, stream=sink
-            )
+            obs.stream_sink = sink
+            run_policy(OptPolicy(world.theta), world, run_seed=0, obs=obs)
     finally:
         log.close()
     persist_run_telemetry(directory, obs)

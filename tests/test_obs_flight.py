@@ -19,7 +19,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.datasets.synthetic import build_world
 from repro.exceptions import ConfigurationError, SchemaError
-from repro.obs.core import Instrumentation, use
+from repro.obs.core import NULL_OBS, Instrumentation, NullInstrumentation, current, use
 from repro.obs.flight import (
     DECISIONS_FILENAME,
     FLIGHT_SCHEMA_VERSION,
@@ -56,11 +56,13 @@ def _record_log(directory, config, specs, horizon=HORIZON, run_seed=RUN_SEED):
     recorder = FlightRecorder(
         directory, run=make_run_header(config, horizon, run_seed, specs)
     )
+    obs = NullInstrumentation()
+    obs.flight_recorder = recorder
     histories = {}
     for spec in specs:
         policy = build_policy_from_spec(spec, world)
         histories[spec["name"]] = run_policy(
-            policy, world, horizon=horizon, run_seed=run_seed, flight=recorder
+            policy, world, horizon=horizon, run_seed=run_seed, obs=obs
         )
     recorder.close()
     return histories
@@ -115,9 +117,11 @@ def test_recording_does_not_change_results(small_config):
         build_policy_from_spec({"name": "eGreedy", "seed": POLICY_SEED}, world),
         world, horizon=HORIZON, run_seed=RUN_SEED,
     )
+    obs = NullInstrumentation()
+    obs.flight_recorder = FlightBuffer()
     recorded = run_policy(
         build_policy_from_spec({"name": "eGreedy", "seed": POLICY_SEED}, world),
-        world, horizon=HORIZON, run_seed=RUN_SEED, flight=FlightBuffer(),
+        world, horizon=HORIZON, run_seed=RUN_SEED, obs=obs,
     )
     assert np.array_equal(plain.rewards, recorded.rewards)
     assert np.array_equal(plain.arranged, recorded.arranged)
@@ -264,6 +268,28 @@ def test_replay_reproduces_rewards_bit_for_bit(tmp_path, small_config):
     assert {g.label for g in report.groups} == {"UCB", "TS", "eGreedy"}
     assert all(g.logged_reward == g.replayed_reward for g in report.groups)
     assert "replay OK" in render_replay_report(report)[-1]
+
+
+def test_replay_and_flight_only_runs_leave_null_obs_bare(
+    tmp_path, small_config, monkeypatch, capsys
+):
+    # Replay and flight-only runs record on a NullInstrumentation of
+    # their own; the shared NULL_OBS never carries a recorder.
+    from repro import cli
+
+    monkeypatch.setattr(cli, "_QUICKSTART_HORIZON", 60)
+    assert cli_main(["quickstart", "--quiet", "--flight", "--out", str(tmp_path)]) == 0
+    assert cli_main(["obs", "replay", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert NULL_OBS.flight_recorder is None
+    report = replay_flight(load_flight(tmp_path))
+    assert report.ok and len(report.groups) == 6
+    assert all(g.rounds == 60 and g.first_divergence is None for g in report.groups)
+    assert NULL_OBS.flight_recorder is None
+
+    _record_log(tmp_path / "policies", small_config, _specs("UCB"))
+    assert current() is NULL_OBS
+    assert vars(NULL_OBS) == vars(NullInstrumentation())
 
 
 def test_replay_until_truncates_both_sides(tmp_path, small_config):

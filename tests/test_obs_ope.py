@@ -15,6 +15,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.datasets.synthetic import build_world
 from repro.exceptions import ConfigurationError
+from repro.obs.core import NullInstrumentation
 from repro.obs.flight import (
     FlightRecorder,
     load_flight,
@@ -36,11 +37,11 @@ def _record(directory, config, names, horizon=HORIZON):
     recorder = FlightRecorder(
         directory, run=make_run_header(config, horizon, RUN_SEED, specs)
     )
+    obs = NullInstrumentation()
+    obs.flight_recorder = recorder
     for spec in specs:
         policy = build_policy_from_spec(spec, world)
-        run_policy(
-            policy, world, horizon=horizon, run_seed=RUN_SEED, flight=recorder
-        )
+        run_policy(policy, world, horizon=horizon, run_seed=RUN_SEED, obs=obs)
     recorder.close()
 
 

@@ -183,12 +183,12 @@ def _profiled_run(world, sample_every=8, run_seed=4):
     from repro.simulation.runner import run_policy
 
     obs = Instrumentation()
+    obs.profile_config = ProfileConfig(sample_every=sample_every)
     history = run_policy(
         UcbPolicy(dim=world.config.dim),
         world,
         run_seed=run_seed,
         obs=obs,
-        profile=ProfileConfig(sample_every=sample_every),
     )
     return history, obs
 
@@ -229,13 +229,13 @@ def test_fleet_profile_attributes_phases_per_policy(small_world):
     from repro.simulation.fleet import run_policy_fleet
 
     obs = Instrumentation()
+    obs.profile_config = ProfileConfig(sample_every=16)
     dim = small_world.config.dim
     run_policy_fleet(
         {"UCB": UcbPolicy(dim=dim), "Random": RandomPolicy(seed=0)},
         small_world,
         run_seed=1,
         obs=obs,
-        profile=ProfileConfig(sample_every=16),
     )
     stacks = set(Profile.from_trace_records(obs.trace_records()).stacks)
     step_leaves = {stack[-1] for stack in stacks if stack[-1].startswith("step:")}

@@ -215,12 +215,12 @@ def test_rewards_are_bit_identical_with_streaming(tmp_path, small_world):
     with StreamingSink(
         tmp_path, obs, flush_every_rounds=5, flush_every_seconds=None
     ) as sink:
+        obs.stream_sink = sink
         streamed = run_policy(
             UcbPolicy(dim=small_world.config.dim),
             small_world,
             run_seed=3,
             obs=obs,
-            stream=sink,
         )
     assert sink.flush_count >= small_world.config.horizon // 5
     np.testing.assert_array_equal(plain.rewards, streamed.rewards)

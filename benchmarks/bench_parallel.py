@@ -50,7 +50,7 @@ import numpy as np  # noqa: E402
 
 from repro.analysis.replication import replicate_policies  # noqa: E402
 from repro.datasets.synthetic import SyntheticConfig  # noqa: E402
-from repro.ebsn.conflicts import DenseConflictGraph, random_conflict_array  # noqa: E402
+from repro.ebsn.conflicts import ConflictGraph, random_conflict_array  # noqa: E402
 from repro.linalg.ridge import RidgeState  # noqa: E402
 from repro.oracle import greedy  # noqa: E402
 
@@ -191,9 +191,7 @@ def bench_oracle_topk(
     num_events: int = 4000, user_capacity: int = 5, loops: int = 400, seed: int = 2
 ) -> Dict[str, object]:
     rng = np.random.default_rng(seed)
-    conflicts = DenseConflictGraph(
-        num_events, random_conflict_array(num_events, 0.05, seed=3)
-    )
+    conflicts = ConflictGraph(num_events, random_conflict_array(num_events, 0.05, seed=3))
     scores = rng.normal(size=num_events)
     capacities = np.full(num_events, 10.0)
 
@@ -201,16 +199,17 @@ def bench_oracle_topk(
         return greedy.oracle_greedy(scores, conflicts, capacities, user_capacity)
 
     def full_sort() -> List[int]:
-        """Algorithm 2 as written: stable sort of every event, then scan."""
+        """Algorithm 2 as written: stable sort of every event, then scan
+        with the oracle's packed blocked mask."""
         arrangement: List[int] = []
-        blocked = np.zeros(num_events, dtype=bool)
+        blocked = np.zeros(conflicts.bits.shape[1], dtype=np.uint8)
         for event_id in np.argsort(-scores, kind="stable").tolist():
             if len(arrangement) >= user_capacity:
                 break
-            if capacities[event_id] <= 0 or blocked[event_id]:
+            if capacities[event_id] <= 0 or blocked[event_id >> 3] >> (event_id & 7) & 1:
                 continue
             arrangement.append(event_id)
-            blocked |= conflicts.neighbor_mask_view(event_id)
+            blocked |= conflicts.bits[event_id]
         return arrangement
 
     if topk() != full_sort():  # identical output, tie-break included

@@ -2,7 +2,7 @@
 
 Not tied to a paper artefact — these pin the costs of the building
 blocks every experiment leans on: the synthetic world build (dominated
-by its dense conflict matrix), conflict-graph queries, event-store
+by its packed conflict graph), conflict-graph queries, event-store
 registration, catalogue index lookups, run-store inserts, and the
 Oracle-Greedy call every policy makes once per round.
 """
@@ -13,12 +13,7 @@ import pytest
 from repro.datasets.damai import load_damai
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.ebsn.catalog import EventCatalog
-from repro.ebsn.conflicts import (
-    DenseConflictGraph,
-    SparseConflictGraph,
-    random_conflict_graph,
-    random_conflicts,
-)
+from repro.ebsn.conflicts import ConflictGraph, random_conflict_graph, random_conflicts
 from repro.ebsn.events import EventStore
 from repro.io.runstore import RunStore
 from repro.oracle.greedy import oracle_greedy
@@ -32,10 +27,9 @@ def test_build_world(benchmark):
     assert world.conflicts.num_pairs() == round(0.25 * 2000 * 1999 / 2)
 
 
-@pytest.mark.parametrize("backend", [DenseConflictGraph, SparseConflictGraph])
-def test_conflict_mask_query(benchmark, backend):
+def test_conflict_mask_query(benchmark):
     pairs = random_conflicts(500, 0.25, seed=0)
-    graph = backend(500, pairs)
+    graph = ConflictGraph(500, pairs)
     events = list(range(0, 500, 100))
     mask = benchmark(graph.conflict_mask, events)
     assert mask.shape == (500,)
@@ -43,7 +37,7 @@ def test_conflict_mask_query(benchmark, backend):
 
 @pytest.fixture(scope="module")
 def wide_conflicts():
-    """|V| = 10^4 at the Table 4 conflict ratio (a 100 MB dense matrix)."""
+    """|V| = 10^4 at the Table 4 conflict ratio (11.9 MiB of packed rows)."""
     return random_conflict_graph(10_000, 0.25, seed=0)
 
 
@@ -72,11 +66,17 @@ def test_oracle_greedy_drained(benchmark):
     _check_arrangement(arrangement, conflicts, capacities, 5)
 
 
-def test_oracle_greedy_wide(benchmark, wide_conflicts):
-    """|V| = 10^4, nothing drained: the top-m prefix over every event."""
-    scores, capacities, _ = _oracle_inputs(wide_conflicts, drained=0.0)
-    arrangement = benchmark(oracle_greedy, scores, wide_conflicts, capacities, 5)
-    _check_arrangement(arrangement, wide_conflicts, capacities, 5)
+@pytest.mark.parametrize("num_events", [500, 1000, 10_000])
+def test_oracle_greedy_per_call(benchmark, wide_conflicts, num_events):
+    """One call per round, nothing drained: the top-m prefix over every
+    event, each pick ORing a packed row into the packed blocked mask."""
+    conflicts = (
+        wide_conflicts if num_events == 10_000
+        else random_conflict_graph(num_events, 0.25, seed=0)
+    )
+    scores, capacities, _ = _oracle_inputs(conflicts, drained=0.0)
+    arrangement = benchmark(oracle_greedy, scores, conflicts, capacities, 5)
+    _check_arrangement(arrangement, conflicts, capacities, 5)
 
 
 def test_oracle_greedy_random_order(benchmark, wide_conflicts):

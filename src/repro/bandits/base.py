@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ebsn.conflicts import BaseConflictGraph
+from repro.ebsn.conflicts import ConflictGraph
 from repro.ebsn.users import User
 from repro.obs.core import NULL_OBS, InstrumentationLike
 from repro.obs.health import FILL_RATE_SERIES_METRIC
@@ -55,7 +55,7 @@ class RoundView:
     user: User
     contexts: np.ndarray
     remaining_capacities: np.ndarray
-    conflicts: BaseConflictGraph
+    conflicts: ConflictGraph
 
     @property
     def num_events(self) -> int:

@@ -39,7 +39,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.encoding import CategoricalField, FeatureSchema, NumericField
-from repro.ebsn.conflicts import BaseConflictGraph, ConflictGraph
+from repro.ebsn.conflicts import ConflictGraph
 from repro.ebsn.events import Event
 from repro.ebsn.users import User
 from repro.exceptions import ConfigurationError
@@ -214,7 +214,7 @@ class DamaiDataset:
         events: Sequence[DamaiEvent],
         users: Sequence[DamaiUser],
         schema: FeatureSchema,
-        conflicts: BaseConflictGraph,
+        conflicts: ConflictGraph,
     ) -> None:
         self.events = list(events)
         self.users = list(users)

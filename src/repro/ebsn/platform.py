@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
-from repro.ebsn.conflicts import BaseConflictGraph
+from repro.ebsn.conflicts import ConflictGraph
 from repro.ebsn.events import EventStore
 from repro.ebsn.ledger import LedgerEntry, RegistrationLedger
 from repro.ebsn.users import User
@@ -26,7 +26,7 @@ from repro.exceptions import CapacityError, ConflictError
 class Platform:
     """An EBSN platform instance for one simulation run."""
 
-    def __init__(self, store: EventStore, conflicts: BaseConflictGraph) -> None:
+    def __init__(self, store: EventStore, conflicts: ConflictGraph) -> None:
         if len(store) != conflicts.num_events:
             raise ConflictError(
                 f"store has {len(store)} events but conflict graph covers "

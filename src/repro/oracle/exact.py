@@ -19,7 +19,7 @@ from typing import List, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from repro.ebsn.conflicts import BaseConflictGraph
+from repro.ebsn.conflicts import ConflictGraph
 from repro.exceptions import ConfigurationError
 
 #: Refuse instances with more candidate events than this (the search is
@@ -29,7 +29,7 @@ MAX_EXACT_CANDIDATES = 40
 
 def exact_arrangement(
     scores: npt.ArrayLike,
-    conflicts: BaseConflictGraph,
+    conflicts: ConflictGraph,
     remaining_capacities: npt.ArrayLike,
     user_capacity: int,
 ) -> List[int]:

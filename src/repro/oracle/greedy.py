@@ -25,23 +25,27 @@ stable sort of every event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.ebsn.conflicts import BaseConflictGraph
+from repro.ebsn.conflicts import ConflictGraph
 from repro.ebsn.users import check_user_capacity
 from repro.exceptions import ConfigurationError
 
 FloatArray = npt.NDArray[np.float64]
 BoolArray = npt.NDArray[np.bool_]
+ByteArray = npt.NDArray[np.uint8]
 IntArray = npt.NDArray[np.int_]
 
 #: The top-m prefix holds ``max(PREFIX_FACTOR * c_u, PREFIX_MIN)``
 #: candidates — slack for entries lost to conflicts.
 _PREFIX_FACTOR = 4
 _PREFIX_MIN = 16
+
+#: Ids of the visiting order the scan converts to Python ints at a time.
+_SCAN_CHUNK = 64
 
 
 @dataclass
@@ -83,27 +87,31 @@ class OracleStats:
 
 
 def _greedy_scan(
-    live_order: Iterable[int],
-    conflicts: BaseConflictGraph,
+    live_order: IntArray,
+    conflicts: ConflictGraph,
     user_capacity: int,
     arrangement: List[int],
-    blocked: BoolArray,
+    blocked: ByteArray,
 ) -> None:
     """Append the unblocked events of ``live_order`` until ``c_u`` are
     arranged (mutates in place).
 
-    ``live_order`` is a list for a short top-m prefix and an array
-    otherwise: an array is iterated lazily, so a scan that fills up
-    after a handful of events never converts the rest of the order to
-    Python ints.
+    ``blocked`` is a packed mask, bit ``v & 7`` of byte ``v >> 3`` per
+    event, like the graph's rows: each pick ORs its row in (|V|/8
+    bytes) and each candidate costs one bit test on a Python int.  The
+    order is converted ``_SCAN_CHUNK`` ids at a time, so a scan that
+    fills up after a handful of events never converts the rest.
     """
-    for event_id in live_order:
-        if blocked[event_id]:
-            continue
-        arrangement.append(int(event_id))
-        if len(arrangement) >= user_capacity:
-            return
-        blocked |= conflicts.neighbor_mask_view(arrangement[-1])
+    rows = conflicts.bits
+    is_blocked = blocked.item
+    for start in range(0, live_order.size, _SCAN_CHUNK):
+        for event_id in live_order[start : start + _SCAN_CHUNK].tolist():
+            if is_blocked(event_id >> 3) >> (event_id & 7) & 1:
+                continue
+            arrangement.append(event_id)
+            if len(arrangement) >= user_capacity:
+                return
+            blocked |= rows[event_id]
 
 
 def _top_prefix_order(scores: FloatArray, prefix: int) -> Optional[IntArray]:
@@ -181,7 +189,7 @@ def _fill_stats(
 
 def oracle_greedy(
     scores: npt.ArrayLike,
-    conflicts: BaseConflictGraph,
+    conflicts: ConflictGraph,
     remaining_capacities: npt.ArrayLike,
     user_capacity: int,
     order: Optional[Sequence[int]] = None,
@@ -231,7 +239,7 @@ def oracle_greedy(
     check_user_capacity(user_capacity)
 
     arrangement: List[int] = []
-    blocked: BoolArray = np.zeros(score_vec.size, dtype=bool)
+    blocked: ByteArray = np.zeros(conflicts.bits.shape[1], dtype=np.uint8)
     # A NaN capacity stays live: ``NaN <= 0`` is false.  Each path below
     # skips its O(|V|) liveness gather when nothing is drained
     # (``count_nonzero`` is one C call; ``ndarray.any`` pays a Python
@@ -274,15 +282,13 @@ def oracle_greedy(
     head = (
         _top_prefix_order(live_scores, prefix) if prefix < live_scores.size else None
     )
-    visit: Iterable[int]
     if head is None:
         # Stable sort on (-score): non-increasing score, ascending-id ties.
         head = (-live_scores).argsort(kind="stable")
-        visit = head if live is None else live[head]
-    else:
-        # A short top-m prefix: visit it as Python ints.
-        visit = (head if live is None else live[head]).tolist()
-    _greedy_scan(visit, conflicts, user_capacity, arrangement, blocked)
+    _greedy_scan(
+        head if live is None else live[head],
+        conflicts, user_capacity, arrangement, blocked,
+    )
     if len(arrangement) < user_capacity and head.size < live_scores.size:
         # Prefix exhausted by conflicts: order the strictly worse
         # remainder and keep scanning with the same state.  The

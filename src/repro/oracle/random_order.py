@@ -13,13 +13,13 @@ from typing import List, Optional
 import numpy as np
 import numpy.typing as npt
 
-from repro.ebsn.conflicts import BaseConflictGraph
+from repro.ebsn.conflicts import ConflictGraph
 from repro.linalg.sampling import RngLike, make_rng
 from repro.oracle.greedy import OracleStats, oracle_greedy
 
 
 def random_arrangement(
-    conflicts: BaseConflictGraph,
+    conflicts: ConflictGraph,
     remaining_capacities: npt.ArrayLike,
     user_capacity: int,
     rng: RngLike = None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ebsn.conflicts import BaseConflictGraph
+from repro.ebsn.conflicts import ConflictGraph
 from repro.ebsn.events import EventStore
 from repro.ebsn.ledger import RegistrationLedger
 from repro.exceptions import ReproError
@@ -24,7 +24,7 @@ class VerificationError(ReproError):
 def verify_ledger_constraints(
     ledger: RegistrationLedger,
     initial_capacities: np.ndarray,
-    conflicts: BaseConflictGraph,
+    conflicts: ConflictGraph,
     max_user_capacity: int,
 ) -> None:
     """Re-check Definition 3 on an entire ledger.

@@ -1,12 +1,12 @@
 """random_conflict_graph ≡ ConflictGraph(random_conflict_array(...)).
 
-The graph builder fills the dense matrix straight from the sampled
-ranks; these tests pin it to the pair path it replaces: same backend,
-same pairs, same generator position afterwards, same synthetic world.
-Above ``_TAIL_SET_MIN_PAIRS`` candidate pairs the dense builder does
-not call ``Generator.choice`` but rebuilds the set its tail shuffle
-returns; the tail-set tests pin that to ``choice`` itself, numpy's
-branch condition included.
+The graph builder packs the graph's bits straight from the sampled
+rank set; these tests pin it to the pair path it replaces: same pairs,
+same generator position afterwards, same synthetic world.  Above
+``_TAIL_SET_MIN_PAIRS`` candidate pairs the builder does not call
+``Generator.choice`` but rebuilds the set its tail shuffle returns; the
+tail-set tests pin that to ``choice`` itself, numpy's branch condition
+included.
 """
 
 import tracemalloc
@@ -18,7 +18,6 @@ from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.ebsn import conflicts
 from repro.ebsn.conflicts import (
     ConflictGraph,
-    SparseConflictGraph,
     random_conflict_array,
     random_conflict_graph,
     random_conflicts,
@@ -34,6 +33,21 @@ def all_masks(graph):
     return np.stack([graph.neighbor_mask(i) for i in range(graph.num_events)])
 
 
+def traced_peak(build):
+    """Peak bytes traced while ``build()`` runs, above what was live."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("num_events", SIZES)
@@ -46,14 +60,14 @@ def test_graph_builder_matches_pair_path(num_events, ratio, seed):
     np.testing.assert_array_equal(all_masks(built), all_masks(reference))
 
 
-@pytest.mark.parametrize("ratio", [0.0, 0.01])
-def test_large_sparse_instances_take_the_sparse_path(ratio):
-    """|V| > 2048 at density <= 5% must not allocate the |V|^2 matrix.
-
-    (cr = 0.05 at |V| = 2049 rounds to a density just above 0.05 and
-    goes dense on both paths, which the equivalence test covers.)
-    """
-    assert isinstance(random_conflict_graph(2049, ratio, 0), SparseConflictGraph)
+def test_large_sparse_instance_builds_in_packed_space():
+    """|V| = 2049 at cr = 0.01 (below numpy's tail-shuffle branch, so
+    ``choice`` draws) peaks at 1.1 bytes a candidate pair: the packed
+    graph (1/4), the rank bitset (1/8) and the build's blocks.  A bool
+    |V|^2 matrix alone would be 2."""
+    total = 2049 * 2048 // 2
+    peak = traced_peak(lambda: random_conflict_graph(2049, 0.01, 0))
+    assert peak <= 1.5 * total, f"{peak / total:.2f} bytes a candidate pair"
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -95,6 +109,12 @@ def choice_mask(total, size, rng):
     return upper
 
 
+def tail_set_mask(total, size, rng):
+    packed = conflicts._tail_shuffle_set(total, size, rng)
+    assert packed.shape == ((total + 7) // 8,)
+    return np.unpackbits(packed, bitorder="little")[:total].view(bool)
+
+
 @pytest.mark.parametrize(
     "total, size, tail_set",
     [
@@ -116,8 +136,7 @@ def test_tail_set_builder_runs_where_numpy_tail_shuffles(monkeypatch, total, siz
         return
     for seed in SEEDS:
         via_set, via_choice = np.random.default_rng(seed), np.random.default_rng(seed)
-        upper = np.zeros(total, dtype=bool)
-        conflicts._mark_tail_shuffle_set(upper, size, via_set)
+        upper = tail_set_mask(total, size, via_set)
         np.testing.assert_array_equal(upper, choice_mask(total, size, via_choice))
         assert via_set.bit_generator.state == via_choice.bit_generator.state
 
@@ -128,8 +147,7 @@ def test_tail_shuffle_set_matches_choice_on_random_sizes():
         total = int(sizes.integers(10001, 40000))
         size = int(sizes.integers(total // 50 + 1, total + 1))
         via_set, via_choice = np.random.default_rng(case), np.random.default_rng(case)
-        upper = np.zeros(total, dtype=bool)
-        conflicts._mark_tail_shuffle_set(upper, size, via_set)
+        upper = tail_set_mask(total, size, via_set)
         np.testing.assert_array_equal(upper, choice_mask(total, size, via_choice))
         assert via_set.bit_generator.state == via_choice.bit_generator.state
 
@@ -141,44 +159,47 @@ def test_graph_builder_matches_pair_path_above_the_switch(ratio):
     built = random_conflict_graph(3000, ratio, 5)
     reference = ConflictGraph(3000, random_conflict_array(3000, ratio, 5))
     assert type(built) is type(reference)
-    np.testing.assert_array_equal(built._matrix, reference._matrix)
+    np.testing.assert_array_equal(built.bits, reference.bits)
 
 
-def test_dense_build_peaks_under_four_bytes_a_candidate_pair():
+def test_build_peaks_under_two_and_a_half_bytes_a_candidate_pair():
     """``choice``'s tail shuffle alone takes 10 bytes a candidate pair
     (an int64 arange over all of them, then a copy of its tail).  The
-    matrix takes 2, the flat mask 1, and the tail-set keys 8 a drawn
-    rank, which is 2 a candidate at cr = 0.25."""
+    builder keeps 4 bytes a drawn rank (1 a candidate at cr = 0.25), the
+    rank bitset (1/8), the packed graph (1/4) and its chunk buffers."""
     total = 3000 * 2999 // 2
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        random_conflict_graph(3000, 0.25, 0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak <= 4 * total, f"{peak / total:.2f} bytes a candidate pair"
+    peak = traced_peak(lambda: random_conflict_graph(3000, 0.25, 0))
+    assert peak <= 2.5 * total, f"{peak / total:.2f} bytes a candidate pair"
 
 
 @pytest.mark.slow
 def test_wide_catalogue_graph_matches_the_pair_path():
     """perfbench's wide_catalogue world size: |V| = 10^4, cr = 0.25."""
-    num_events = 10_000
+    num_events, step = 10_000, 1000
+    total = num_events * (num_events - 1) // 2
     via_graph, via_pairs = np.random.default_rng(11), np.random.default_rng(11)
-    matrix = random_conflict_graph(num_events, 0.25, via_graph)._matrix
+    built = []
+    peak = traced_peak(lambda: built.append(random_conflict_graph(num_events, 0.25, via_graph)))
+    assert peak <= 1.75 * total, f"{peak / total:.2f} bytes a candidate pair"
+    graph = built.pop()
     ranks = conflicts._sample_conflict_ranks(num_events, 0.25, via_pairs)
     assert via_graph.bit_generator.state == via_pairs.bit_generator.state
-    upper = np.zeros(num_events * (num_events - 1) // 2, dtype=bool)
+    upper = np.zeros(total, dtype=bool)
     upper[ranks] = True
     del ranks
+
+    def rows(start):
+        packed = graph.bits[start : start + step]
+        return np.unpackbits(packed, axis=1, count=num_events, bitorder="little").view(bool)
+
     offset = 0
-    for i in range(num_events - 1):
-        length = num_events - 1 - i
-        assert np.array_equal(matrix[i, i + 1 :], upper[offset : offset + length]), i
-        offset += length
-    assert not matrix.diagonal().any()
-    assert np.array_equal(matrix, matrix.T)
+    for r0 in range(0, num_events, step):
+        block = rows(r0)
+        for i in range(r0, r0 + step):
+            length = num_events - 1 - i
+            assert np.array_equal(block[i - r0, i + 1 :], upper[offset : offset + length]), i
+            offset += length
+        assert not block[np.arange(step), np.arange(r0, r0 + step)].any()
+        for c0 in range(0, r0, step):  # the lower triangle mirrors the upper
+            assert np.array_equal(block[:, c0 : c0 + step], rows(c0)[:, r0 : r0 + step].T)
+    assert graph.num_pairs() == int(upper.sum())

@@ -183,9 +183,12 @@ def test_round_slot_refuses_to_resume_under_the_health_monitor(tmp_path, monkeyp
             _replicate(tmp_path, resume=True)
 
 
-def test_profile_stacks_do_not_depend_on_jobs_or_checkpointing(tmp_path, capsys):
-    from repro.cli import main as cli_main
+def test_profile_stacks_do_not_depend_on_jobs_or_checkpointing(tmp_path, capsys, monkeypatch):
+    from repro import cli
 
+    # The stack names appear from the first sampled round; a horizon
+    # past 200 still lets ``--checkpoint 200`` save once.
+    monkeypatch.setattr(cli, "_QUICKSTART_HORIZON", 250)
     names = {}
     for label, extra in (
         ("serial", []),
@@ -193,7 +196,7 @@ def test_profile_stacks_do_not_depend_on_jobs_or_checkpointing(tmp_path, capsys)
         ("checkpointed", ["--checkpoint", "200"]),
     ):
         out = tmp_path / label
-        code = cli_main(["quickstart", "--quiet", "--profile", "--out", str(out), *extra])
+        code = cli.main(["quickstart", "--quiet", "--profile", "--out", str(out), *extra])
         assert code == 0
         lines = (out / "profile.folded").read_text(encoding="utf-8").splitlines()
         names[label] = [line.rsplit(" ", 1)[0] for line in lines]

@@ -1,7 +1,7 @@
 """Oracle-Greedy always returns a feasible, maximal arrangement.
 
-Property test over random, heavily tied and NaN-laced scores, on both
-conflict-graph backends and on graphs from ``random_conflict_graph``,
+Property test over random, heavily tied and NaN-laced scores, on graphs
+built from pairs and on graphs from ``random_conflict_graph``,
 on small catalogues (|V| < 512, where the top-m prefix often holds
 every live event and a stable sort serves) and on large ones (|V| >=
 512, where the prefix is always shorter than the catalogue).
@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ebsn.conflicts import (
-    DenseConflictGraph,
-    SparseConflictGraph,
+    ConflictGraph,
     random_conflict_array,
     random_conflict_graph,
 )
@@ -24,8 +23,7 @@ from repro.oracle.greedy import oracle_greedy
 def make_graph(kind, num_events, ratio, seed):
     if kind == "builder":
         return random_conflict_graph(num_events, ratio, seed)
-    backend = DenseConflictGraph if kind == "dense" else SparseConflictGraph
-    return backend(num_events, random_conflict_array(num_events, ratio, seed))
+    return ConflictGraph(num_events, random_conflict_array(num_events, ratio, seed))
 
 
 def make_scores(kind, rng, num_events):
@@ -51,7 +49,7 @@ REGIMES = {
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
-    graph_kind=st.sampled_from(["dense", "sparse", "builder"]),
+    graph_kind=st.sampled_from(["pairs", "builder"]),
     score_kind=st.sampled_from(["random", "tied", "nan"]),
     ratio=st.sampled_from([0.0, 0.05, 0.25, 0.5, 1.0]),
     seed=st.integers(0, 2**16),

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ebsn.conflicts import (
-    ConflictGraph,
-    DenseConflictGraph,
-    SparseConflictGraph,
-    random_conflict_array,
-)
+from repro.ebsn.conflicts import ConflictGraph, random_conflict_array
 from repro.exceptions import ConfigurationError
 from repro.oracle.greedy import OracleStats, oracle_greedy
 
@@ -230,14 +225,13 @@ def make_scores(kind, rng, num_events):
     score_kind=st.sampled_from(["random", "tied", "nan", "inf", "zero"]),
     drained=st.sampled_from([0.0, 2 / 3, 1.0]),
     nan_capacities=st.booleans(),
-    backend=st.sampled_from([DenseConflictGraph, SparseConflictGraph]),
     ratio=st.sampled_from([0.0, 0.02, 0.25, 0.6]),
     random_order=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_oracle_matches_algorithm2_reference_with_stats(
     num_events, user_capacity, score_kind, drained, nan_capacities,
-    backend, ratio, random_order, seed,
+    ratio, random_order, seed,
 ):
     """Same arrangement and all six OracleStats fields as the literal
     Algorithm 2 scan, on both the score path and the ``order=`` path."""
@@ -247,7 +241,7 @@ def test_oracle_matches_algorithm2_reference_with_stats(
     remaining[rng.permutation(num_events)[: round(drained * num_events)]] = 0.0
     if nan_capacities:
         remaining[rng.uniform(size=num_events) < 0.2] = np.nan
-    conflicts = backend(num_events, random_conflict_array(num_events, ratio, seed))
+    conflicts = ConflictGraph(num_events, random_conflict_array(num_events, ratio, seed))
     order = rng.permutation(num_events) if random_order else None
 
     stats = OracleStats()

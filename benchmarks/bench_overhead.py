@@ -1,8 +1,10 @@
 """One harness for the disabled-mode cost gates (DESIGN.md §5.8, §5.11-§5.13).
 
-A run without ``--obs``/``--profile``/``--stream``, ``--flight``,
-``--health`` or ``--checkpoint`` must pay only the guards in front of
-each feature, and turning a feature on must never perturb a decision.
+A run without ``--obs``/``--profile``/``--stream``, ``--flight`` or
+``--checkpoint`` must pay only the guards in front of each feature
+(``--health`` adds no code to the round loop: it runs once per fleet
+call, over the recorded series), and turning a feature on, ``--health``
+included, must never perturb a decision.
 One fixture of frozen round views (timing them rather than a live run
 keeps scheduler jitter from dwarfing the guard cost) feeds one paired
 sampler and the ratio gates of :data:`RATIO_GATES`.  The checkpoint pair
@@ -42,7 +44,7 @@ from repro.datasets.synthetic import SyntheticConfig, SyntheticWorld, build_worl
 from repro.io.checkpoint import CellCheckpointSpec
 from repro.obs.core import NULL_OBS, Instrumentation, NullInstrumentation
 from repro.obs.flight import FlightBuffer, decision_record
-from repro.obs.health import HealthMonitor
+from repro.obs.health import ALERT_EVENT_NAME, health_events_from_trace
 from repro.obs.profile import ProfileConfig
 from repro.obs.stream import StreamingSink
 from repro.oracle.greedy import oracle_greedy
@@ -177,24 +179,6 @@ def _flight_guard(policy: UcbPolicy, views: list) -> Callable[[], None]:
     return run_guarded
 
 
-def _health_guard(policy: UcbPolicy, views: list) -> Callable[[], None]:
-    obs = Instrumentation()
-    round_monitor = obs.health_monitor
-
-    def run_guarded() -> None:
-        # The exact guard shape of fleet._record_policy_round + the
-        # fleet.play_fleet round loop with --health off.
-        for view in views:
-            policy.select(view)
-            monitor = obs.health_monitor
-            if monitor is not None:  # pragma: no cover - off in this gate
-                monitor.observe_round(obs, policy.name, 0, 0.0)
-            if round_monitor is not None:  # pragma: no cover - off in this gate
-                round_monitor.end_round(0)
-
-    return run_guarded
-
-
 #: (section, ratio key, plain per-call key, candidate per-call key,
 #: plain loop, candidate loop).
 RATIO_GATES = (
@@ -204,8 +188,6 @@ RATIO_GATES = (
      _select_loop, _observatory_guard),
     ("flight", "flight_ratio", "plain_select_us", "flight_guard_select_us",
      _select_loop, _flight_guard),
-    ("health", "health_ratio", "plain_select_us", "health_guard_select_us",
-     _select_loop, _health_guard),
 )
 
 #: Every gated statistic as (section, key, bound); above the bound fails.
@@ -382,14 +364,15 @@ def _flight_runs(world: SyntheticWorld) -> Tuple[Runs, dict]:
 
 
 def _health_runs(world: SyntheticWorld) -> Tuple[Runs, dict]:
-    """Instrumented runs without and with the health monitor and alerts."""
+    """Instrumented runs without and with the health pass and alerts."""
     obs = Instrumentation()
-    obs.health_monitor = HealthMonitor()
+    obs.health = True
     runs = {"health_off": _play(world, obs=Instrumentation()), "health_on": _play(world, obs=obs)}
+    records = obs.trace_records()
     return runs, {
         "health_horizon": world.config.horizon,
-        "health_events": len(obs.health_monitor.events),
-        "alert_firings": len(obs.health_monitor.alerts.records),
+        "health_events": len(health_events_from_trace(records)),
+        "alert_firings": len(health_events_from_trace(records, ALERT_EVENT_NAME)),
     }
 
 
@@ -433,7 +416,7 @@ def measure_overhead(
     sections["checkpoint"] = measure_checkpoint_cost(checkpoint_repeats)
     sections["faults"] = measure_page_faults()
     for feature in FEATURES:
-        sections[feature].update(check_invariance(feature))
+        sections.setdefault(feature, {}).update(check_invariance(feature))
     return {**sections, "ok": not failed_gates(sections)}
 
 
@@ -453,8 +436,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "loop",
-    [_baseline_loop, _select_loop, _observatory_guard, _flight_guard, _health_guard],
-    ids=["pre_obs", "shipped", "observatory_guard", "flight_guard", "health_guard"],
+    [_baseline_loop, _select_loop, _observatory_guard, _flight_guard],
+    ids=["pre_obs", "shipped", "observatory_guard", "flight_guard"],
 )
 def test_gated_loop(benchmark, loop):
     policy, views = frozen_fixture()

@@ -92,8 +92,8 @@ for log in decisions.jsonl alerts.jsonl; do
 done
 
 step "replicate health and flight logs are byte-identical at --jobs 1 and 2"
-# Replicate runs several cells through one serial executor call, so the
-# health monitor's per-cell reset (begin_cell) decides what --jobs 1 logs.
+# Replicate runs several cells through one serial executor call; each
+# cell's health pass reads only the series that cell recorded.
 for jobs in 1 2; do
     fasea replicate --seeds 2 --horizon 600 --jobs "$jobs" --health \
         --flight "$OUT/replicate-jobs$jobs" > /dev/null || fail "replicate --jobs $jobs"
@@ -120,12 +120,14 @@ fasea obs ope "$OUT/flight-a" --policy UCB --behavior eGreedy --format json \
     || fail "obs ope on the recorded eGreedy stream"
 
 step "serial kill on the 12th checkpoint save, then resume"
-fasea quickstart --quiet --flight --checkpoint 200 --out "$OUT/golden" || fail "golden quickstart"
-kill_on_save 12 "$OUT/victim" --quiet --flight --checkpoint 200
-fasea quickstart --quiet --flight --out "$OUT/victim" --resume "$OUT/victim/checkpoints" \
-    || fail "serial resume"
-cmp "$OUT/golden/decisions.jsonl" "$OUT/victim/decisions.jsonl" \
-    || fail "decisions.jsonl differs: serial resume vs golden"
+fasea quickstart --quiet --flight --health --checkpoint 200 --out "$OUT/golden" \
+    || fail "golden quickstart"
+kill_on_save 12 "$OUT/victim" --quiet --flight --health --checkpoint 200
+fasea quickstart --quiet --flight --health --out "$OUT/victim" \
+    --resume "$OUT/victim/checkpoints" || fail "serial resume"
+for log in decisions.jsonl health.json alerts.jsonl; do
+    cmp "$OUT/golden/$log" "$OUT/victim/$log" || fail "$log differs: serial resume vs golden"
+done
 python - "$OUT/golden" "$OUT/victim" <<'PY' || fail "serial resume metrics.json"
 import json
 import sys
@@ -152,10 +154,12 @@ if not victim["counters"]["checkpoint.saves"] > 0:
 PY
 
 step "--jobs 4 kill on every worker's 3rd checkpoint save, then resume"
-kill_on_save 3 "$OUT/victim4" --quiet --flight --checkpoint 200 --jobs 4
-fasea quickstart --quiet --flight --jobs 4 --out "$OUT/victim4" \
+kill_on_save 3 "$OUT/victim4" --quiet --flight --health --checkpoint 200 --jobs 4
+fasea quickstart --quiet --flight --health --jobs 4 --out "$OUT/victim4" \
     --resume "$OUT/victim4/checkpoints" || fail "--jobs 4 resume"
-cmp "$OUT/golden/decisions.jsonl" "$OUT/victim4/decisions.jsonl" \
-    || fail "decisions.jsonl differs: --jobs 4 resume vs serial golden"
+for log in decisions.jsonl health.json alerts.jsonl; do
+    cmp "$OUT/golden/$log" "$OUT/victim4/$log" \
+        || fail "$log differs: --jobs 4 resume vs serial golden"
+done
 
 echo "equivalence: all checks passed"

@@ -27,7 +27,7 @@ Subcommands
     Inspect run telemetry, profiles, health and flight logs.
 
 ``run``, ``quickstart`` and ``replicate`` attach their observers
-(telemetry, profiler, stream, flight log, health monitor) through one
+(telemetry, profiler, stream, flight log, learning health) through one
 session, :func:`_observer_session`.
 """
 
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--health",
         action="store_true",
         help=(
-            "enable the learning-health monitor (requires --flight DIR: "
+            "enable learning-health detection (requires --flight DIR: "
             "health.json + alerts.jsonl are written there)"
         ),
     )
@@ -287,10 +287,10 @@ def _add_observer_arguments(parser: argparse.ArgumentParser, where: str) -> None
         "--health",
         action="store_true",
         help=(
-            "enable the learning-health monitor (implies --obs): online "
-            "changepoint detectors write health.json and the built-in "
-            f"alerts append to alerts.jsonl {where}; inspect with 'fasea "
-            "obs health <dir>'"
+            "enable learning-health detection (implies --obs): as each "
+            "cell ends, changepoint detectors and the built-in alerts run "
+            "over its recorded series; health.json and alerts.jsonl are "
+            f"written {where}; inspect with 'fasea obs health <dir>'"
         ),
     )
 
@@ -329,7 +329,6 @@ def _resolve_checkpointing(
     args: argparse.Namespace,
     default_dir: Path,
     payload: dict,
-    health: bool,
 ) -> "tuple[Optional[Path], int, bool]":
     """Shared --checkpoint/--resume resolution for run/quickstart/replicate.
 
@@ -345,11 +344,6 @@ def _resolve_checkpointing(
     resume_dir = getattr(args, "resume", None)
     if checkpoint_every is None and resume_dir is None:
         return None, 0, False
-    if health:
-        raise ConfigurationError(
-            "--checkpoint cannot be combined with --health: round "
-            "checkpoints cannot capture detector/alert window state"
-        )
     if resume_dir is not None:
         directory = Path(resume_dir)
         stored = check_manifest(directory, payload)
@@ -383,10 +377,11 @@ def _observer_session(
     ``--profile``, ``--stream`` and ``--health`` come from ``args``; a
     ``flight_header`` records the decision flight log.  Every artefact
     goes into ``directory``.  With no observer flag set this yields
-    :data:`~repro.obs.core.NULL_OBS`.  The stream, flight log and alert
-    log are closed however the run ends.  On success ``metrics.json`` +
-    ``trace.jsonl``, ``health.json`` and the profile are persisted, one
-    ``console`` line per artefact, each prefixed with ``[label]``.
+    :data:`~repro.obs.core.NULL_OBS`.  The stream and flight log are
+    closed however the run ends.  On success ``metrics.json`` +
+    ``trace.jsonl``, ``health.json`` + ``alerts.jsonl`` (from the merged
+    trace) and the profile are persisted, one ``console`` line per
+    artefact, each prefixed with ``[label]``.
     """
     from repro.obs.core import NULL_OBS, Instrumentation, use
 
@@ -396,7 +391,7 @@ def _observer_session(
         return
     from repro.io.runstore import persist_run_telemetry
     from repro.obs.flight import FlightRecorder
-    from repro.obs.health import ALERTS_FILENAME, HealthMonitor, persist_health
+    from repro.obs.health import ALERTS_FILENAME, HEALTH_FILENAME, persist_health
     from repro.obs.profile import Profile, ProfileConfig, write_profile
     from repro.obs.stream import StreamingSink
 
@@ -410,9 +405,11 @@ def _observer_session(
         if flight_header is not None:
             obs.flight_recorder = FlightRecorder(directory, run=flight_header)
         if getattr(args, "health", False):
-            obs.health_monitor = HealthMonitor(
-                FlightRecorder(directory, filename=ALERTS_FILENAME)
-            )
+            obs.health = True
+            # A crash leaves no health logs of this run, so none of a
+            # previous run may stand beside its streamed trace.
+            for name in (HEALTH_FILENAME, ALERTS_FILENAME):
+                (Path(directory) / name).unlink(missing_ok=True)
         with use(obs):
             yield obs
     finally:
@@ -420,19 +417,15 @@ def _observer_session(
             obs.stream_sink.close()
         if obs.flight_recorder is not None:
             obs.flight_recorder.close()
-        if obs.health_monitor is not None:
-            obs.health_monitor.alerts.close()
     prefix = f"[{label}] " if label else ""
     paths = persist_run_telemetry(directory, obs)
     console.info(f"{prefix}telemetry in {paths['metrics'].parent}")
     if obs.flight_recorder is not None:
         console.info(f"{prefix}decision flight log in {obs.flight_recorder.path}")
-    monitor = obs.health_monitor
-    if monitor is not None:
-        health_path = persist_health(directory, monitor)
+    if obs.health:
+        health_path, events, alerts = persist_health(directory, obs.trace_records())
         console.info(
-            f"{prefix}health log in {health_path} ({len(monitor.events)} "
-            f"events, {monitor.alerts.num_records} alerts)"
+            f"{prefix}health log in {health_path} ({events} events, {alerts} alerts)"
         )
     if profile_every is not None:
         profile_paths = write_profile(
@@ -459,7 +452,6 @@ def _run_experiments(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "horizon": args.horizon,
         },
-        args.health,
     )
     for experiment_id in ids:
         runner = get_experiment(experiment_id)
@@ -533,7 +525,6 @@ def _quickstart(args: argparse.Namespace) -> int:
             "flight": args.flight,
             "obs": _observers_requested(args),
         },
-        args.health,
     )
     names = (OPT_KEY, *_QUICKSTART_POLICIES)
     flight_header = None
@@ -619,7 +610,6 @@ def _replicate(args: argparse.Namespace) -> int:
             "horizon": args.horizon,
             "flight": bool(args.flight),
         },
-        args.health,
     )
     flight_header = None
     if args.flight:

@@ -86,7 +86,7 @@ __all__ = [
 #: Bumped when the cell-checkpoint npz layout changes incompatibly.
 CHECKPOINT_SCHEMA_VERSION = 3
 #: Bumped when the pickled unit-cache layout changes incompatibly.
-UNIT_CACHE_SCHEMA_VERSION = 3
+UNIT_CACHE_SCHEMA_VERSION = 4
 #: The checkpoint directory's identity document.
 MANIFEST_FILENAME = "manifest.json"
 #: Default ``--checkpoint`` cadence (rounds between saves).
@@ -439,8 +439,8 @@ def load_unit_result(
         raise ConfigurationError(
             f"{path} was cached with telemetry {_describe_captures(stored)} "
             f"but this run records {_describe_captures(captures)}; resume "
-            "under the telemetry setting (registry, flight recorder, health "
-            "monitor) of the run that wrote the checkpoint"
+            "under the telemetry setting (registry, flight recorder, "
+            "--health) of the run that wrote the checkpoint"
         )
     return (payload["value"],)
 

@@ -19,8 +19,8 @@ Verbs over the artefacts written by
 ``health``
     Per-policy learning-health report: changepoint detections, the
     capacity-cliff onset/complete rounds and the alert history, from
-    ``health.json`` + ``alerts.jsonl`` (rebuilt offline from
-    ``metrics.json`` when the run did not record them); ``--format
+    ``health.json`` + ``alerts.jsonl`` (from the streamed
+    ``trace.jsonl`` when the run did not persist them); ``--format
     json`` and ``--html`` (inline-SVG single file) for machines.
 ``top``
     Curses-free live dashboard: follow the streaming sink and render
@@ -353,7 +353,7 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         help="per-policy learning-health report (detections + alerts)",
     )
     health.add_argument(
-        "target", help="run directory (health.json / alerts.jsonl / metrics.json)"
+        "target", help="run directory (health.json + alerts.jsonl, or trace.jsonl)"
     )
     health.add_argument(
         "--format",
@@ -580,14 +580,11 @@ def _health(args: argparse.Namespace, console: Console) -> int:
         render_health_text,
         write_health_html,
     )
-    from repro.obs.health import load_alerts
 
     payload = load_health_document(args.target)
-    alerts = load_alerts(args.target, strict=False)
+    alerts = payload["alerts"]
     if args.format == "json":
-        document = dict(payload)
-        document["alerts"] = alerts
-        console.data(json.dumps(document, indent=2, sort_keys=True))
+        console.data(json.dumps(payload, indent=2, sort_keys=True))
     else:
         console.info(f"health: {args.target}")
         console.result(render_health_text(payload, alerts))

@@ -433,17 +433,17 @@ class Instrumentation:
         self._span_serial = 0
         # The run's observers: the profiler config (repro.obs.profile),
         # streaming sink (repro.obs.stream), decision flight recorder
-        # (repro.obs.flight) and learning-health monitor
-        # (repro.obs.health, which also evaluates the built-in alerts).
-        # The registry is their only carrier, so the CLI's flags reach
-        # every round loop an experiment runs without threading
-        # parameters through the experiments package
+        # (repro.obs.flight) and whether each fleet call ends with the
+        # learning-health pass (repro.obs.health, which also evaluates
+        # the built-in alerts).  The registry is their only carrier, so
+        # the CLI's flags reach every round loop an experiment runs
+        # without threading parameters through the experiments package
         # (``repro.simulation.fleet.play_fleet`` reads them here).
         # Typed loosely to avoid circular imports.
         self.profile_config: Optional[Any] = None
         self.stream_sink: Optional[Any] = None
         self.flight_recorder: Optional[Any] = None
-        self.health_monitor: Optional[Any] = None
+        self.health = False
 
     # -- metric accessors ---------------------------------------------
     def _get(self, name: str, cls: type, *args: object) -> Any:
@@ -688,7 +688,7 @@ class NullInstrumentation:
         self.profile_config: Optional[Any] = None
         self.stream_sink: Optional[Any] = None
         self.flight_recorder: Optional[Any] = None
-        self.health_monitor: Optional[Any] = None
+        self.health = False
 
     def counter(self, name: str) -> Counter:
         return _NULL_METRIC  # type: ignore[return-value]

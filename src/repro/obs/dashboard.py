@@ -6,17 +6,17 @@ Two consumption surfaces over the learning-health artefacts
 ``obs health <dir>``
     Offline report: the per-policy health table (detection counts,
     changepoint rounds, capacity-cliff onset/complete) plus the alert
-    history, from ``health.json`` + ``alerts.jsonl``.  When no
-    ``health.json`` was written the report is rebuilt offline from the
-    ``metrics.json`` snapshot (:func:`repro.obs.health.
-    events_from_snapshot`) — same detectors, same output.
-    ``--format json`` emits the machine-readable document; ``--html``
-    writes a single-file inline-SVG report (no plotting dependency).
+    history, from ``health.json`` + ``alerts.jsonl``.  A run that never
+    persisted them (killed under ``--stream``) is read from its
+    ``trace.jsonl``, which holds each finished cell's health and alert
+    events.  ``--format json`` emits the machine-readable document;
+    ``--html`` writes a single-file inline-SVG report (no plotting
+    dependency).
 
 ``obs top <dir>``
     A curses-free live dashboard for a running (or finished) run: poll
     the streaming sink's ``metrics.json`` and *follow* ``trace.jsonl``
-    and ``alerts.jsonl`` incrementally, re-rendering a compact block —
+    incrementally, re-rendering a compact block —
     the counters, per-policy reward sparklines, last θ̂-drift points and
     oracle fill rates, detector status, the most recent alerts —
     whenever anything changes.  ``--once`` renders a single
@@ -38,14 +38,14 @@ from repro.exceptions import ConfigurationError
 from repro.obs.console import Console
 from repro.obs.core import MetricsSnapshot
 from repro.obs.health import (
-    ALERTS_FILENAME,
-    HEALTH_EVENT_NAME,
+    ALERT_EVENT_NAME,
     HEALTH_FILENAME,
-    HEALTH_SCHEMA_VERSION,
     POLICY_METRIC_PREFIX,
     REWARD_SUFFIX,
     THETA_DRIFT_SUFFIX,
-    events_from_snapshot,
+    health_events_from_trace,
+    health_payload,
+    load_alerts,
     load_health,
     summarize_events,
 )
@@ -138,47 +138,36 @@ class JsonlFollower:
         return records
 
 
-def health_events_from_trace(
-    records: Sequence[Dict[str, Any]],
-) -> List[Dict[str, Any]]:
-    """Extract the health events embedded in streamed trace records."""
-    events: List[Dict[str, Any]] = []
-    for record in records:
-        if record.get("kind") != "event":
-            continue
-        if record.get("name") != HEALTH_EVENT_NAME:
-            continue
-        fields = record.get("fields")
-        if isinstance(fields, dict):
-            events.append(fields)
-    return events
-
-
 # ----------------------------------------------------------------------
 # obs health — offline report
 # ----------------------------------------------------------------------
 def load_health_document(target: Union[str, Path]) -> Dict[str, Any]:
-    """The ``health.json`` payload, rebuilt from the snapshot if absent.
+    """The ``health.json`` payload of a run, with its ``alerts`` list.
 
-    The offline rebuild replays the recorded per-policy series through
-    the same detectors that ran online, so ``obs health`` works on any
-    telemetry directory — with or without ``--health`` having been on.
+    Read from ``health.json`` + ``alerts.jsonl`` when the run persisted
+    them, otherwise from the health and alert events of its (possibly
+    torn) ``trace.jsonl``; a directory with neither raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
+    from repro.obs.trace import read_trace_jsonl
+
     directory = Path(target)
     if directory.is_file():
         directory = directory.parent
-    health_path = directory / HEALTH_FILENAME
-    if health_path.is_file():
-        return load_health(health_path)
-    from repro.obs.cli import load_snapshot
-
-    events = events_from_snapshot(load_snapshot(directory))
-    return {
-        "version": HEALTH_SCHEMA_VERSION,
-        "events": events,
-        "summary": summarize_events(events),
-        "rebuilt": True,
-    }
+    if (directory / HEALTH_FILENAME).is_file():
+        document = load_health(directory)
+        document["alerts"] = load_alerts(directory, strict=False)
+        return document
+    trace_path = directory / TRACE_FILENAME
+    if not trace_path.is_file():
+        raise ConfigurationError(
+            f"no {HEALTH_FILENAME} or {TRACE_FILENAME} in {directory}; "
+            "record the run with --health"
+        )
+    records = read_trace_jsonl(trace_path, strict=False)
+    document = health_payload(health_events_from_trace(records))
+    document["alerts"] = health_events_from_trace(records, ALERT_EVENT_NAME)
+    return document
 
 
 def health_table_rows(summary: Dict[str, Dict[str, Any]]) -> List[List[str]]:
@@ -254,11 +243,6 @@ def render_health_text(
         )
     else:
         sections.append("alerts: none fired")
-    if payload.get("rebuilt"):
-        sections.append(
-            "(report rebuilt offline from metrics.json — run with "
-            "--health to record health.json during the run)"
-        )
     return "\n\n".join(sections)
 
 
@@ -463,8 +447,9 @@ def run_top(
     """Follow a run directory live, re-rendering the dashboard on change.
 
     Polls ``metrics.json``'s mtime on ``interval`` and drains the
-    ``trace.jsonl`` / ``alerts.jsonl`` followers; a frame renders
-    whenever the snapshot rotated or new records arrived.
+    ``trace.jsonl`` follower, whose health and alert events each cell
+    adds as it ends; a frame renders whenever the snapshot rotated or
+    new records arrived.
     ``max_updates=1`` is the ``--once`` CI mode; ``None`` follows until
     interrupted.  A ``target`` that does not exist raises
     :class:`~repro.exceptions.ConfigurationError`.
@@ -481,7 +466,6 @@ def run_top(
         directory = directory.parent
     metrics_path = directory / METRICS_FILENAME
     trace_follower = JsonlFollower(directory / TRACE_FILENAME)
-    alert_follower = JsonlFollower(directory / ALERTS_FILENAME)
     health_events: List[Dict[str, Any]] = []
     alerts: List[Dict[str, Any]] = []
     snapshot = MetricsSnapshot()
@@ -501,10 +485,7 @@ def run_top(
             fresh_trace = trace_follower.poll()
             if fresh_trace:
                 health_events.extend(health_events_from_trace(fresh_trace))
-                changed = True
-            fresh_alerts = alert_follower.poll()
-            if fresh_alerts:
-                alerts.extend(fresh_alerts)
+                alerts.extend(health_events_from_trace(fresh_trace, ALERT_EVENT_NAME))
                 changed = True
             force_first = rendered == 0 and max_updates is not None
             if changed or force_first:

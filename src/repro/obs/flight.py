@@ -181,8 +181,8 @@ class FlightBuffer:
     """In-memory recorder with the ``record``/``extend`` API of :class:`FlightRecorder`.
 
     Used by parallel workers (records shipped back with the telemetry
-    snapshot), by the health monitor's alerts, by replay (re-executed
-    decisions land here for comparison) and by benchmarks.
+    snapshot), by replay (re-executed decisions land here for
+    comparison) and by benchmarks.
     """
 
     def __init__(self) -> None:
@@ -198,8 +198,8 @@ class FlightBuffer:
 class FlightRecorder:
     """Crash-safe streaming writer of one JSONL log in a run directory.
 
-    Writes ``decisions.jsonl`` by default and ``alerts.jsonl`` for the
-    health monitor (``filename``).  The log is truncated atomically at
+    Writes ``decisions.jsonl`` by default and ``alerts.jsonl``
+    (``filename``) when a ``--health`` run persists its alert firings.  The log is truncated atomically at
     construction (a crash during startup never leaves a stale log mixing
     two runs), then records are appended one complete JSON line at a
     time.  Every record is flushed to the OS; the file is fsync'd every

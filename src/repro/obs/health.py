@@ -1,13 +1,14 @@
-"""Learning-health monitor: online changepoint & anomaly detection.
+"""Learning health: changepoint & anomaly detection over recorded series.
 
 The paper's two headline phenomena — TS collapsing toward Random under
 FASEA feedback, and the sudden regret-curve drop when OPT exhausts the
 event capacities (Section 6) — are visible in the per-policy telemetry
-*while a run is in flight*: the reward series shifts level, θ̂-drift
-stops contracting, the oracle fill rate leaves its band, and the
-``capacity_exhausted`` series starts ticking.  This module watches all
-four signals online with classic sequential detectors and evaluates
-the three built-in alerts over them:
+a run records: the reward series shifts level, θ̂-drift stops
+contracting, the oracle fill rate leaves its band, and the
+``capacity_exhausted`` series starts ticking.  With ``--health``, each
+fleet call ends with one pass (:func:`record_fleet_health`) of classic
+sequential detectors over the four series that call recorded, and
+evaluates the three built-in alerts over them:
 
 ``PageHinkley``
     The Page–Hinkley test: accumulate ``m_t = Σ (x_i - x̄_i - δ)`` and
@@ -31,20 +32,22 @@ the three built-in alerts over them:
     drained (where OPT's reward goes to zero and the paper's regret
     curves drop).
 
-Every detection becomes a schema-versioned ``HealthEvent`` dict —
-recorded into the trace (``obs.event``) *and* kept on the monitor for
-the ``health.json`` sink.  The alerts — ``capacity-exhaustion`` on each
-cliff mark, ``reward-collapse`` and ``theta-divergence`` on the reward
-and drift signals — append to ``alerts.jsonl``.  Events and alerts
-carry **no wall-clock fields**, so both logs are byte-identical across
-runs and worker counts (the parallel executor merges worker events and
-alerts in submission order).
+Every detection becomes a schema-versioned ``HealthEvent`` dict and
+every alert firing — ``capacity-exhaustion`` on each cliff mark,
+``reward-collapse`` and ``theta-divergence`` on the reward and drift
+signals — an ``AlertRecord`` dict.  Both go into the trace (``health``
+and ``alert`` events), which the parallel executor merges in submission
+order like any other trace; ``health.json`` and ``alerts.jsonl`` are
+written from the merged trace when the run persists
+(:func:`persist_health`).  Events and alerts carry **no wall-clock
+fields**, so both logs are byte-identical across runs, worker counts
+and resumed checkpoints: a cell's health is a function of what the cell
+recorded, not of how it was executed.
 
-Determinism contract: detectors are pure functions of the observed
-series — no RNG is ever touched, rewards are bit-identical with the
-monitor attached or not, and the disabled-mode cost is one ``getattr``
-per instrumented round (gated ≤3% by
-``benchmarks/bench_overhead.py``).
+Determinism contract: detectors are pure functions of the recorded
+series — no RNG is ever touched, and rewards are bit-identical with
+``--health`` on or off.  The round loop runs no health code; without
+``--health`` a fleet call pays one flag check.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import math
 from collections import deque
 from pathlib import Path
 from typing import (
-    Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from repro.exceptions import ConfigurationError, SchemaError
@@ -64,8 +67,10 @@ HEALTH_SCHEMA_VERSION = 1
 #: Filename of the health sink inside a run directory.
 HEALTH_FILENAME = "health.json"
 
-#: Trace event name under which health events are recorded.
+#: Trace event names under which health events and alert firings are
+#: recorded.
 HEALTH_EVENT_NAME = "health"
+ALERT_EVENT_NAME = "alert"
 
 # ----------------------------------------------------------------------
 # Canonical metric names (FAS016: emit sites must use these constants).
@@ -89,6 +94,10 @@ EXHAUSTION_SUFFIX = "." + CAPACITY_EXHAUSTED_METRIC
 REWARD_SUFFIX = "." + REWARD_METRIC
 THETA_DRIFT_SUFFIX = "." + THETA_DRIFT_METRIC
 FILL_RATE_SERIES_SUFFIX = "." + FILL_RATE_SERIES_METRIC
+#: The per-policy series the detectors read.
+HEALTH_SERIES_SUFFIXES = (
+    REWARD_SUFFIX, THETA_DRIFT_SUFFIX, FILL_RATE_SERIES_SUFFIX, EXHAUSTION_SUFFIX,
+)
 
 #: Detector identifiers carried by health events and alerts.
 PAGE_HINKLEY_DETECTOR = "page_hinkley"
@@ -138,7 +147,7 @@ THETA_DIVERGENCE_ABOVE = 10.0
 
 
 # ----------------------------------------------------------------------
-# Online detectors (pure state machines, no RNG, no clocks)
+# Sequential detectors (pure state machines, no RNG, no clocks)
 # ----------------------------------------------------------------------
 class PageHinkley:
     """Two-sided Page–Hinkley mean-shift test.
@@ -335,9 +344,8 @@ def first_drain_rounds(
     Each point of a ``policy.<label>.capacity_exhausted`` series is
     ``(round, event_id)``; the first round an event is reported drained
     wins (merged re-runs may repeat events).  This is the *single*
-    drop-point implementation: ``fasea obs summary``'s table, the
-    offline report and the online :class:`CliffTracker` all agree by
-    construction.
+    drop-point implementation behind ``fasea obs summary``'s table; the
+    :class:`CliffTracker` keeps the same first-report-wins rule.
     """
     first_round: Dict[int, int] = {}
     for step, value in points:
@@ -419,211 +427,195 @@ class _PolicyDetectors:
         self.diverged = False
 
 
-class HealthMonitor:
-    """Per-policy online detectors, the built-in alerts and their logs.
+def _metric_alert(
+    rule: str, metric: str, op: str, threshold: float,
+    aggregate: str, round_: int, value: float,
+) -> AlertRecord:
+    return {
+        "kind": "alert",
+        "schema_version": ALERTS_SCHEMA_VERSION,
+        "rule": rule,
+        "severity": "critical",
+        "metric": metric,
+        "op": op,
+        "threshold": threshold,
+        "aggregate": aggregate,
+        "round": int(round_),
+        "value": float(value),
+    }
 
-    Attached as the ambient ``obs.health_monitor``; the round loop
-    feeds it from :func:`repro.simulation.fleet._record_policy_round`
-    on every policy step and calls :meth:`end_round` once every policy
-    has stepped.  Detections become the events behind ``health.json``;
-    alert firings go to ``alerts`` (a
-    :class:`~repro.obs.flight.FlightRecorder` on ``alerts.jsonl``, or an
-    in-memory :class:`~repro.obs.flight.FlightBuffer` by default).
 
-    The alerts carry no wall-clock fields and are edge-triggered: a
-    metric alert fires when its predicate turns true, not on every round
-    it stays true.  Within a round, capacity-exhaustion firings come
-    first (as the cliff events happen), then ``reward-collapse`` and
-    ``theta-divergence``, each over policies in sorted metric-name order.
+def series_health(
+    series: Mapping[str, Sequence[Sequence[float]]],
+    labels: Sequence[str],
+    num_events: int,
+) -> Tuple[List[HealthEvent], List[AlertRecord]]:
+    """The health events and built-in alert firings of one cell's series.
 
-    Detector and alert state is per policy and per cell: the parallel
-    executor resets it (:meth:`begin_cell`) before each serial work unit
-    and gives each worker a fresh monitor, so events and firings are
-    identical for every ``jobs`` value (workers' events and alerts are
-    merged in submission order via :meth:`extend`).
+    ``series`` maps ``policy.<label>.<metric>`` to the points one fleet
+    call recorded for each policy in ``labels`` (fleet order);
+    ``num_events`` is the cell's |V|.  Every policy starts with fresh
+    detectors and alert windows.  Rounds go in step order.  Within a
+    round each policy, in fleet order, feeds its drained events to the
+    cliff tracker (each mark is also a ``capacity-exhaustion`` firing),
+    then its reward, θ̂ drift and fill rate to the detectors.  The round
+    ends with the ``reward-collapse`` and then the ``theta-divergence``
+    alerts, each over policies in sorted metric-name order.  Metric
+    alerts are edge-triggered: one fires when its predicate turns true,
+    not on every round it stays true.
     """
+    events: List[HealthEvent] = []
+    alerts: List[AlertRecord] = []
+    banks = {label: _PolicyDetectors() for label in labels}
+    by_reward_name = sorted(
+        (POLICY_METRIC_PREFIX + label + REWARD_SUFFIX, banks[label]) for label in labels
+    )
+    by_drift_name = sorted(
+        (POLICY_METRIC_PREFIX + label + THETA_DRIFT_SUFFIX, banks[label]) for label in labels
+    )
 
-    def __init__(self, alerts: Optional[Any] = None) -> None:
-        if alerts is None:
-            from repro.obs.flight import FlightBuffer
+    def points(label: str, suffix: str) -> Sequence[Sequence[float]]:
+        return series.get(POLICY_METRIC_PREFIX + label + suffix, ())
 
-            alerts = FlightBuffer()
-        self.alerts = alerts
-        self.events: List[HealthEvent] = []
-        self._policies: Dict[str, _PolicyDetectors] = {}
-        #: The banks in sorted reward / drift metric-name order.
-        self._by_reward_name: List[Tuple[str, _PolicyDetectors]] = []
-        self._by_drift_name: List[Tuple[str, _PolicyDetectors]] = []
+    def by_step(suffix: str) -> Dict[str, Dict[int, float]]:
+        return {label: {int(s): v for s, v in points(label, suffix)} for label in labels}
 
-    # -- lifecycle -----------------------------------------------------
-    def begin_cell(self) -> None:
-        """Reset detector and alert state at a work-unit boundary.
+    rewards = by_step(REWARD_SUFFIX)
+    drifts = by_step(THETA_DRIFT_SUFFIX)
+    fills = by_step(FILL_RATE_SERIES_SUFFIX)
+    drained: Dict[str, Dict[int, List[int]]] = {label: {} for label in labels}
+    for label in labels:
+        for step, event_id in points(label, EXHAUSTION_SUFFIX):
+            drained[label].setdefault(int(step), []).append(int(event_id))
+    steps = sorted({step for table in (*rewards.values(), *drained.values()) for step in table})
 
-        Keeps the accumulated events and alerts: the logs span the whole
-        run, the detectors and alert windows span one cell — exactly
-        matching a parallel worker's fresh monitor.
-        """
-        self._policies.clear()
-        self._by_reward_name.clear()
-        self._by_drift_name.clear()
-
-    def extend(
-        self, events: Iterable[HealthEvent], alerts: Iterable[AlertRecord]
-    ) -> None:
-        """Append a worker's events and alerts (call in submission order)."""
-        self.events.extend(events)
-        self.alerts.extend(alerts)
-
-    # -- feeding -------------------------------------------------------
-    def _bank(self, policy: str) -> _PolicyDetectors:
-        bank = self._policies.get(policy)
-        if bank is None:
-            bank = _PolicyDetectors()
-            self._policies[policy] = bank
-            prefix = POLICY_METRIC_PREFIX + policy
-            self._by_reward_name.append((prefix + REWARD_SUFFIX, bank))
-            self._by_reward_name.sort(key=lambda entry: entry[0])
-            self._by_drift_name.append((prefix + THETA_DRIFT_SUFFIX, bank))
-            self._by_drift_name.sort(key=lambda entry: entry[0])
-        return bank
-
-    def _emit(self, obs: Any, event: HealthEvent) -> None:
-        self.events.append(event)
-        obs.event(HEALTH_EVENT_NAME, **event)
-
-    def observe_round(
-        self,
-        obs: Any,
-        policy: str,
-        round_: int,
-        reward: float,
-        drift: Optional[float] = None,
-        fill_rate: Optional[float] = None,
-    ) -> None:
-        """Feed one instrumented round's signals through the detectors."""
-        bank = self._bank(policy)
-        bank.rewards.append(reward)
-        direction = bank.ph_reward.update(reward)
-        if direction is not None:
-            self._emit(obs, health_event(
-                PAGE_HINKLEY_DETECTOR, policy, REWARD_METRIC,
-                round_, reward, direction,
-            ))
-        direction = bank.cusum_reward.update(reward)
-        if direction is not None:
-            self._emit(obs, health_event(
-                CUSUM_DETECTOR, policy, REWARD_METRIC,
-                round_, reward, direction,
-            ))
-        if drift is not None:
-            bank.drift = drift
-            direction = bank.ph_drift.update(drift)
-            if direction is not None:
-                self._emit(obs, health_event(
-                    PAGE_HINKLEY_DETECTOR, policy, THETA_DRIFT_METRIC,
-                    round_, drift, direction,
-                ))
-            direction = bank.cusum_drift.update(drift)
-            if direction is not None:
-                self._emit(obs, health_event(
-                    CUSUM_DETECTOR, policy, THETA_DRIFT_METRIC,
-                    round_, drift, direction,
-                ))
-        if fill_rate is not None:
-            direction = bank.ewma_fill.update(fill_rate)
-            if direction is not None:
-                self._emit(obs, health_event(
-                    EWMA_BAND_DETECTOR, policy, FILL_RATE_SERIES_METRIC,
-                    round_, fill_rate, direction,
-                ))
-
-    def observe_exhaustion(
-        self,
-        obs: Any,
-        policy: str,
-        round_: int,
-        event_id: int,
-        num_events: int,
-    ) -> None:
-        """Feed one drained event into the capacity-cliff tracker.
-
-        Each cliff mark is a health event and a capacity-exhaustion
-        alert.
-        """
-        bank = self._bank(policy)
-        for phase, mark_round in bank.cliff.update(round_, event_id, num_events):
-            self._emit(obs, health_event(
-                CAPACITY_CLIFF_DETECTOR, policy, CAPACITY_EXHAUSTED_METRIC,
-                mark_round, float(event_id), phase,
-                drained=len(bank.cliff.first_rounds),
-                num_events=int(num_events),
-            ))
-            self.alerts.record({
-                "kind": "alert",
-                "schema_version": ALERTS_SCHEMA_VERSION,
-                "rule": CAPACITY_EXHAUSTION_ALERT,
-                "severity": "warning",
-                "detector": CAPACITY_CLIFF_DETECTOR,
-                "policy": policy,
-                "metric": CAPACITY_EXHAUSTED_METRIC,
-                "direction": phase,
-                "round": mark_round,
-                "value": float(event_id),
-            })
-
-    def end_round(self, round_: int) -> None:
-        """Evaluate the metric alerts once every policy stepped ``round_``."""
-        for name, bank in self._by_reward_name:
+    for round_ in steps:
+        for label in labels:
+            bank = banks[label]
+            for event_id in drained[label].get(round_, ()):
+                for phase, mark_round in bank.cliff.update(round_, event_id, num_events):
+                    events.append(health_event(
+                        CAPACITY_CLIFF_DETECTOR, label, CAPACITY_EXHAUSTED_METRIC,
+                        mark_round, float(event_id), phase,
+                        drained=len(bank.cliff.first_rounds),
+                        num_events=int(num_events),
+                    ))
+                    alerts.append({
+                        "kind": "alert",
+                        "schema_version": ALERTS_SCHEMA_VERSION,
+                        "rule": CAPACITY_EXHAUSTION_ALERT,
+                        "severity": "warning",
+                        "detector": CAPACITY_CLIFF_DETECTOR,
+                        "policy": label,
+                        "metric": CAPACITY_EXHAUSTED_METRIC,
+                        "direction": phase,
+                        "round": mark_round,
+                        "value": float(event_id),
+                    })
+            if round_ not in rewards[label]:
+                continue
+            reward = rewards[label][round_]
+            bank.rewards.append(reward)
+            signals = [
+                (bank.ph_reward, PAGE_HINKLEY_DETECTOR, REWARD_METRIC, reward),
+                (bank.cusum_reward, CUSUM_DETECTOR, REWARD_METRIC, reward),
+            ]
+            drift = drifts[label].get(round_)
+            if drift is not None:
+                bank.drift = drift
+                signals.append((bank.ph_drift, PAGE_HINKLEY_DETECTOR, THETA_DRIFT_METRIC, drift))
+                signals.append((bank.cusum_drift, CUSUM_DETECTOR, THETA_DRIFT_METRIC, drift))
+            fill_rate = fills[label].get(round_)
+            if fill_rate is not None:
+                signals.append(
+                    (bank.ewma_fill, EWMA_BAND_DETECTOR, FILL_RATE_SERIES_METRIC, fill_rate)
+                )
+            for detector, detector_name, metric, value in signals:
+                direction = detector.update(value)
+                if direction is not None:
+                    events.append(health_event(
+                        detector_name, label, metric, round_, value, direction,
+                    ))
+        for name, bank in by_reward_name:
             collapsed = False
             if len(bank.rewards) == REWARD_COLLAPSE_WINDOW:
                 mean = math.fsum(bank.rewards) / REWARD_COLLAPSE_WINDOW
                 collapsed = mean < REWARD_COLLAPSE_BELOW
                 if collapsed and not bank.collapsed:
-                    self._metric_alert(
+                    alerts.append(_metric_alert(
                         REWARD_COLLAPSE_ALERT, name, "lt",
                         REWARD_COLLAPSE_BELOW, "mean", round_, mean,
-                    )
+                    ))
             bank.collapsed = collapsed
-        for name, bank in self._by_drift_name:
-            diverged = False
-            if bank.drift is not None:
-                diverged = bank.drift > THETA_DIVERGENCE_ABOVE
-                if diverged and not bank.diverged:
-                    self._metric_alert(
-                        THETA_DIVERGENCE_ALERT, name, "gt",
-                        THETA_DIVERGENCE_ABOVE, "last", round_, bank.drift,
-                    )
+        for name, bank in by_drift_name:
+            diverged = bank.drift is not None and bank.drift > THETA_DIVERGENCE_ABOVE
+            if diverged and not bank.diverged:
+                alerts.append(_metric_alert(
+                    THETA_DIVERGENCE_ALERT, name, "gt",
+                    THETA_DIVERGENCE_ABOVE, "last", round_, bank.drift,
+                ))
             bank.diverged = diverged
+    return events, alerts
 
-    def _metric_alert(
-        self, rule: str, metric: str, op: str, threshold: float,
-        aggregate: str, round_: int, value: float,
-    ) -> None:
-        self.alerts.record({
-            "kind": "alert",
-            "schema_version": ALERTS_SCHEMA_VERSION,
-            "rule": rule,
-            "severity": "critical",
-            "metric": metric,
-            "op": op,
-            "threshold": threshold,
-            "aggregate": aggregate,
-            "round": int(round_),
-            "value": float(value),
-        })
 
-    # -- reporting -----------------------------------------------------
-    def summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-policy digest of the recorded events (plain data)."""
-        return summarize_events(self.events)
+def series_marks(obs: Any, labels: Sequence[str]) -> Dict[str, int]:
+    """The current length of each health series of ``labels`` in ``obs``.
 
-    def to_payload(self) -> Dict[str, Any]:
-        """The ``health.json`` document body (schema version 1)."""
-        return {
-            "version": HEALTH_SCHEMA_VERSION,
-            "events": list(self.events),
-            "summary": self.summary(),
-        }
+    Taken when a fleet call starts, so :func:`record_fleet_health` reads
+    only the points that call appends.
+    """
+    marks: Dict[str, int] = {}
+    for label in labels:
+        for suffix in HEALTH_SERIES_SUFFIXES:
+            name = POLICY_METRIC_PREFIX + label + suffix
+            metric = obs.get_metric(name)
+            marks[name] = 0 if metric is None else len(metric.points)
+    return marks
+
+
+def record_fleet_health(
+    obs: Any, labels: Sequence[str], marks: Mapping[str, int], num_events: int
+) -> None:
+    """Trace the :func:`series_health` of the points past ``marks``.
+
+    Each health event becomes a ``health`` trace event and each alert
+    firing an ``alert`` trace event, in order; ``health.json`` and
+    ``alerts.jsonl`` are written from the merged trace
+    (:func:`persist_health`).
+    """
+    series = {}
+    for name, start in marks.items():
+        metric = obs.get_metric(name)
+        if metric is not None:
+            series[name] = metric.points[start:]
+    events, alerts = series_health(series, labels, num_events)
+    for event in events:
+        obs.event(HEALTH_EVENT_NAME, **event)
+    for alert in alerts:
+        obs.event(ALERT_EVENT_NAME, **alert)
+
+
+def health_events_from_trace(
+    records: Sequence[Dict[str, Any]], name: str = HEALTH_EVENT_NAME
+) -> List[Dict[str, Any]]:
+    """The fields of the trace events called ``name`` (health events by
+    default, alert firings with :data:`ALERT_EVENT_NAME`), in order."""
+    return [
+        record["fields"]
+        for record in records
+        if record.get("kind") == "event"
+        and record.get("name") == name
+        and isinstance(record.get("fields"), dict)
+    ]
+
+
+def health_payload(events: Sequence[HealthEvent]) -> Dict[str, Any]:
+    """The ``health.json`` document body (schema version 1)."""
+    return {
+        "version": HEALTH_SCHEMA_VERSION,
+        "events": list(events),
+        "summary": summarize_events(events),
+    }
 
 
 def summarize_events(
@@ -657,99 +649,30 @@ def summarize_events(
 
 
 # ----------------------------------------------------------------------
-# Offline: rebuild the report from a recorded metrics snapshot
-# ----------------------------------------------------------------------
-def events_from_snapshot(snapshot: Any) -> List[HealthEvent]:
-    """Run the online detectors over a recorded ``metrics.json``.
-
-    Replays each per-policy reward/θ̂-drift/fill-rate/exhaustion series
-    through the same detector bank the live monitor uses, in sorted
-    metric-name order — so ``fasea obs health`` works on any run
-    directory, with or without a ``health.json`` (and the two agree on
-    runs whose series were recorded from round 1; ``tests/
-    test_obs_health.py`` asserts that equivalence).
-    """
-    from repro.obs.core import NULL_OBS
-
-    monitor = HealthMonitor()
-    per_policy: Dict[str, Dict[str, List[List[float]]]] = {}
-    for name, points in sorted(snapshot.series.items()):
-        if not name.startswith(POLICY_METRIC_PREFIX):
-            continue
-        for suffix in (
-            REWARD_SUFFIX,
-            THETA_DRIFT_SUFFIX,
-            FILL_RATE_SERIES_SUFFIX,
-            EXHAUSTION_SUFFIX,
-        ):
-            if name.endswith(suffix):
-                label = name[len(POLICY_METRIC_PREFIX) : -len(suffix)]
-                per_policy.setdefault(label, {})[suffix] = [
-                    list(point) for point in points
-                ]
-                break
-    num_events = _num_events_hint(snapshot)
-    for label in sorted(per_policy):
-        streams = per_policy[label]
-        rewards = {int(s): v for s, v in streams.get(REWARD_SUFFIX, [])}
-        drifts = {int(s): v for s, v in streams.get(THETA_DRIFT_SUFFIX, [])}
-        fills = {int(s): v for s, v in streams.get(FILL_RATE_SERIES_SUFFIX, [])}
-        drained = streams.get(EXHAUSTION_SUFFIX, [])
-        drain_by_round: Dict[int, List[int]] = {}
-        for step, value in drained:
-            drain_by_round.setdefault(int(step), []).append(int(value))
-        steps = sorted(
-            set(rewards) | set(drifts) | set(fills) | set(drain_by_round)
-        )
-        for step in steps:
-            if step in rewards:
-                monitor.observe_round(
-                    NULL_OBS, label, step,
-                    reward=rewards[step],
-                    drift=drifts.get(step),
-                    fill_rate=fills.get(step),
-                )
-            for event_id in drain_by_round.get(step, []):
-                monitor.observe_exhaustion(
-                    NULL_OBS, label, step, event_id, num_events
-                )
-    return monitor.events
-
-
-def _num_events_hint(snapshot: Any) -> int:
-    """Best-effort total event count for offline cliff completion.
-
-    Recorded snapshots carry no world config; the environment's
-    arranged/accepted counters do not bound |V| either, so fall back to
-    the highest event id ever drained + 1 — exact whenever the run
-    actually exhausted everything (the only case ``complete`` fires).
-    """
-    highest = -1
-    for name, points in snapshot.series.items():
-        if name.endswith(EXHAUSTION_SUFFIX):
-            for _, value in points:
-                highest = max(highest, int(value))
-    return highest + 1
-
-
-# ----------------------------------------------------------------------
 # health.json persistence
 # ----------------------------------------------------------------------
 def persist_health(
-    directory: Union[str, Path], monitor: HealthMonitor
-) -> Path:
-    """Atomically write ``health.json`` into a run directory."""
+    directory: Union[str, Path], records: Sequence[Dict[str, Any]]
+) -> Tuple[Path, int, int]:
+    """Atomically write ``health.json`` and ``alerts.jsonl`` from a trace.
+
+    ``records`` is a run's merged trace; returns the ``health.json`` path
+    and the numbers of health events and alert firings written.
+    """
     import json
 
     from repro.io.runstore import atomic_write_text
+    from repro.obs.flight import FlightRecorder
 
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / HEALTH_FILENAME
+    events = health_events_from_trace(records)
+    alerts = health_events_from_trace(records, ALERT_EVENT_NAME)
+    with FlightRecorder(directory, filename=ALERTS_FILENAME) as log:
+        log.extend(alerts)
+    path = Path(directory) / HEALTH_FILENAME
     atomic_write_text(
-        path, json.dumps(monitor.to_payload(), indent=2, sort_keys=True) + "\n"
+        path, json.dumps(health_payload(events), indent=2, sort_keys=True) + "\n"
     )
-    return path
+    return path, len(events), len(alerts)
 
 
 def load_health(target: Union[str, Path]) -> Dict[str, Any]:

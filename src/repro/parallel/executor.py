@@ -124,11 +124,11 @@ class _Telemetry:
 
     The worker runs its unit under a fresh registry with the caller's
     ``--profile`` sampling config, an in-memory flight buffer when the
-    caller records decisions, and a fresh health monitor (its alerts in
-    memory) when the caller has one.  Everything recorded travels back
-    with the result for a submission-order merge, which is what makes
-    ``decisions.jsonl``, ``alerts.jsonl`` and the health log
-    byte-identical for every worker count.
+    caller records decisions, and the caller's ``--health`` setting.
+    Everything recorded travels back with the result for a
+    submission-order merge, which is what makes ``decisions.jsonl`` and
+    the health and alert events in the trace byte-identical for every
+    worker count.
     """
 
     flight: bool
@@ -154,15 +154,8 @@ _WorkerPayload = Tuple[
     Optional[str],
     Optional[str],
 ]
-#: What one unit recorded: snapshot, trace, flight records, health
-#: events and alert records.
-_Recorded = Tuple[
-    MetricsSnapshot,
-    List[Dict[str, Any]],
-    List[Dict[str, Any]],
-    List[Dict[str, Any]],
-    List[Dict[str, Any]],
-]
+#: What one unit recorded: snapshot, trace and flight records.
+_Recorded = Tuple[MetricsSnapshot, List[Dict[str, Any]], List[Dict[str, Any]]]
 #: One unit's outcome — its result and what it recorded (``None`` with
 #: telemetry off).  This is also the cache-entry value.
 _WorkerResult = Tuple[Any, Optional[_Recorded]]
@@ -175,10 +168,10 @@ def _run_unit(payload: _WorkerPayload) -> _WorkerResult:
 
     With telemetry, the unit runs under a fresh :class:`Instrumentation`
     configured from the :class:`_Telemetry` spec, and its snapshot,
-    trace, flight records, health events and alert records return with
-    the result.  With a cache directory in the payload the outcome is
-    pickled atomically before returning, so a later resume replays this
-    unit without re-running it — telemetry included.
+    trace and flight records return with the result.  With a cache
+    directory in the payload the outcome is pickled atomically before
+    returning, so a later resume replays this unit without re-running
+    it — telemetry included.
 
     Queue latency is measured with the wall clock
     (:func:`repro.obs.clock.wall_time`): ``perf_counter`` origins are
@@ -193,10 +186,7 @@ def _run_unit(payload: _WorkerPayload) -> _WorkerResult:
         worker_obs.profile_config = telemetry.profile_config
         flight = FlightBuffer() if telemetry.flight else None
         worker_obs.flight_recorder = flight
-        if telemetry.health:
-            from repro.obs.health import HealthMonitor
-
-            worker_obs.health_monitor = HealthMonitor()
+        worker_obs.health = telemetry.health
         queue_latency = max(0.0, wall_time() - submitted_at)
         with use(worker_obs):
             start = time.perf_counter()
@@ -205,15 +195,12 @@ def _run_unit(payload: _WorkerPayload) -> _WorkerResult:
         worker_obs.timer(CELL_SECONDS_METRIC).observe(wall)
         worker_obs.timer(QUEUE_LATENCY_METRIC).observe(queue_latency)
         worker_obs.series(CELL_WALL_SECONDS_METRIC).append(index, wall)
-        monitor = worker_obs.health_monitor
         outcome = (
             result,
             (
                 worker_obs.snapshot(),
                 worker_obs.trace_records(),
                 flight.records if flight is not None else [],
-                monitor.events if monitor is not None else [],
-                monitor.alerts.records if monitor is not None else [],
             ),
         )
     if cache_dir is not None and digest is not None:
@@ -290,7 +277,7 @@ def run_work_units(
         if any.  On resume, cached units are replayed in submission
         order — bit-identically, telemetry included — and only the
         rest execute.  A resume under a different telemetry setting
-        (registry, flight recorder or health monitor on vs off) than
+        (registry, flight recorder or ``--health`` on vs off) than
         the cached run raises :class:`~repro.exceptions.ConfigurationError`.
 
     Returns
@@ -333,15 +320,9 @@ def _run_serial_instrumented(
     obs.counter(UNITS_METRIC).inc(len(units))
     timer = obs.timer(CELL_SECONDS_METRIC)
     series = obs.series(CELL_WALL_SECONDS_METRIC)
-    monitor = obs.health_monitor
     results: List[R] = []
     with obs.span("run_work_units", jobs=1, units=len(units)):
         for index, unit in enumerate(units):
-            # Work-unit boundary: reset the detectors and alert windows
-            # so a cell sees only its own telemetry — exactly what a
-            # worker's fresh monitor sees.
-            if monitor is not None:
-                monitor.begin_cell()
             start = time.perf_counter()
             results.append(fn(unit))
             wall = time.perf_counter() - start
@@ -363,11 +344,10 @@ def _run_outcomes(
 ) -> List[Union[R, UnitFailure]]:
     """Cache lookup, execution (inline or pooled) and the ordered merge."""
     flight = obs.flight_recorder
-    monitor = obs.health_monitor
     telemetry = (
         _Telemetry(
             flight=flight is not None,
-            health=monitor is not None,
+            health=obs.health,
             profile_config=obs.profile_config,
         )
         if obs.enabled
@@ -410,13 +390,11 @@ def _run_outcomes(
                 obs.event(UNIT_CACHED_EVENT, unit=index)
             result, recorded = value
             if recorded is not None:
-                snapshot, trace, flight_records, health_events, alerts = recorded
+                snapshot, trace, flight_records = recorded
                 obs.merge_snapshot(snapshot)
                 obs.merge_trace(trace)
                 if flight is not None:
                     flight.extend(flight_records)
-                if monitor is not None:
-                    monitor.extend(health_events, alerts)
             results.append(result)
     return results
 

@@ -53,9 +53,10 @@ from repro.obs.core import InstrumentationLike, MetricsSnapshot, current
 from repro.obs.flight import decision_record
 from repro.obs.health import (
     CAPACITY_EXHAUSTED_METRIC,
-    FILL_RATE_SERIES_METRIC,
     REWARD_METRIC,
     THETA_DRIFT_METRIC,
+    record_fleet_health,
+    series_marks,
 )
 from repro.simulation.environment import (
     ENV_ACCEPTED_EVENTS_METRIC,
@@ -104,14 +105,11 @@ def _record_policy_round(
     obs.timer(policy.obs_name(OBSERVE_SECONDS_METRIC)).observe(observe_seconds)
     reward = float(entry.reward)
     obs.series(policy.obs_name(REWARD_METRIC)).append(time_step, reward)
-    drift: Optional[float] = None
     estimate = policy.theta_estimate() if theta_true is not None else None
     if estimate is not None:
         drift = float(np.linalg.norm(estimate - theta_true))
         obs.series(policy.obs_name(THETA_DRIFT_METRIC)).append(time_step, drift)
     label = policy._obs_label or policy.name
-    monitor = obs.health_monitor
-    num_events = len(store)
     for event_id in entry.accepted:
         if store.remaining(event_id) <= 0.0:
             obs.series(policy.obs_name(CAPACITY_EXHAUSTED_METRIC)).append(
@@ -123,17 +121,6 @@ def _record_policy_round(
                 event_id=int(event_id),
                 time_step=time_step,
             )
-            if monitor is not None:
-                monitor.observe_exhaustion(
-                    obs, label, time_step, int(event_id), num_events
-                )
-    if monitor is not None:
-        fill_rate: Optional[float] = None
-        metric = obs.get_metric(policy.obs_name(FILL_RATE_SERIES_METRIC))
-        points = getattr(metric, "points", None)
-        if points and points[-1][0] == time_step:
-            fill_rate = float(points[-1][1])
-        monitor.observe_round(obs, label, time_step, reward, drift, fill_rate)
 
 
 def open_run_checkpointer(
@@ -144,24 +131,14 @@ def open_run_checkpointer(
 ) -> object:
     """Build a cell's :class:`~repro.io.checkpoint.RunCheckpointer`.
 
-    Rejects the two attachments whose internal state a round checkpoint
-    cannot capture:
-
-    * the health monitor (detector and alert-window state would
-      silently reset on resume, changing events and firings);
-    * a disk-backed flight recorder (the resumed process would append
-      to a log that already holds the pre-crash records; checkpointing
-      requires an in-memory buffer whose contents travel inside the
-      checkpoint and are replayed exactly — which is what the executor's
-      outcome path provides).
+    Rejects a disk-backed flight recorder: the resumed process would
+    append to a log that already holds the pre-crash records.
+    Checkpointing requires an in-memory buffer whose contents travel
+    inside the checkpoint and are replayed exactly — which is what the
+    executor's outcome path provides.
     """
     from repro.io.checkpoint import RunCheckpointer
 
-    if obs.health_monitor is not None:
-        raise ConfigurationError(
-            "round checkpointing cannot capture health-monitor detector "
-            "state; run without --health or without --checkpoint"
-        )
     if recording and not hasattr(flight, "records"):
         raise ConfigurationError(
             "round checkpointing requires an in-memory flight buffer "
@@ -255,9 +232,9 @@ def play_fleet(
     Each policy is labelled by its dict key in what the observers on
     ``obs`` (default :func:`repro.obs.core.current`) record:
 
-    * telemetry, when ``obs`` is enabled: per-policy metrics, and the
-      health monitor ``obs.health_monitor``'s detectors, its alerts
-      evaluated once per round;
+    * telemetry, when ``obs`` is enabled: per-policy metrics, and with
+      ``obs.health`` one :func:`~repro.obs.health.record_fleet_health`
+      pass over the series this call recorded once the last round ends;
     * ``obs.profile_config``, when enabled: on sampled rounds a
       ``round`` span holding a ``step:<key>`` span per policy, each
       with ``select``/``commit``/``observe`` phase spans;
@@ -285,7 +262,6 @@ def play_fleet(
     flight = obs.flight_recorder
     recording = flight is not None
     profiling = instrumented and profile is not None
-    monitor = obs.health_monitor if instrumented else None
     if instrumented or recording:
         # Recording needs the label too: the "policy" field of each
         # decision record is the fleet key, not the algorithm name.
@@ -303,6 +279,9 @@ def play_fleet(
     taus: Dict[str, List[float]] = {name: [] for name in policies}
     checkpoint_set, eval_contexts, true_scores = kendall or _NO_KENDALL
 
+    # Taken before a resume restores the saved series, so the health
+    # pass reads this call's rounds from round 1 either way.
+    marks = series_marks(obs, list(policies)) if instrumented and obs.health else None
     start_round = 0
     checkpointer = None
     if checkpoint is not None:
@@ -452,10 +431,6 @@ def play_fleet(
             else:
                 for name, policy in fleet:
                     _step(name, policy, t, user, contexts, accepts, False)
-            if monitor is not None:
-                # After every policy's step: one alert evaluation per
-                # round keeps firings flush-cadence-independent.
-                monitor.end_round(t)
             if instrumented and stream is not None:
                 stream.maybe_flush(1)
             # Save strictly after every policy's step (including the
@@ -469,6 +444,9 @@ def play_fleet(
         # The cell completed; the executor's unit cache takes over, so
         # the round slot would only invite a stale mid-run resume.
         checkpointer.clear()
+    if marks is not None:
+        num_events = len(next(iter(platforms.values())).store)
+        record_fleet_health(obs, list(policies), marks, num_events)
 
     if recording:
         for policy in policies.values():

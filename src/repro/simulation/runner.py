@@ -73,7 +73,7 @@ def run_policy(
         and capacity-exhaustion events — none of which touch the RNG
         streams, so results are bit-identical either way.  The registry
         also carries the run's observers (``profile_config``,
-        ``stream_sink``, ``flight_recorder``, ``health_monitor``); see
+        ``stream_sink``, ``flight_recorder``, ``health``); see
         :func:`~repro.simulation.fleet.play_fleet`.
     checkpoint:
         A :class:`~repro.io.checkpoint.CellCheckpointSpec`.  Every

@@ -63,10 +63,34 @@ def test_replicate_prints_ci_table(capsys):
     assert "UCB > TS on every seed" in out
 
 
-def test_checkpoint_rejects_health_combo(tmp_path, capsys):
-    code = main(["quickstart", "--out", str(tmp_path), "--checkpoint", "--health"])
-    assert code == 2
-    assert "cannot be combined with --health" in capsys.readouterr().err
+def test_checkpoint_with_health_resumes_to_the_same_logs(tmp_path, monkeypatch, capsys):
+    """A cell killed after its 2nd save (round 100) resumes from the
+    slot's series, so its cliff onset at round 60 is logged again."""
+    from repro import cli
+    from repro.io.checkpoint import RunCheckpointer
+
+    monkeypatch.setattr(cli, "_QUICKSTART_HORIZON", 250)
+    flags = ["quickstart", "--quiet", "--health", "--checkpoint", "50"]
+    assert main([*flags, "--out", str(tmp_path / "golden")]) == 0
+    save = RunCheckpointer.save
+    saves = []
+
+    def crash_on_second_save(self, arrays):
+        save(self, arrays)
+        saves.append(self)
+        if len(saves) == 2:
+            raise RuntimeError("killed")
+
+    monkeypatch.setattr(RunCheckpointer, "save", crash_on_second_save)
+    with pytest.raises(RuntimeError, match="killed"):
+        main([*flags, "--out", str(tmp_path / "victim")])
+    monkeypatch.setattr(RunCheckpointer, "save", save)
+    resume = ["--resume", str(tmp_path / "victim" / "checkpoints")]
+    assert main([*flags[:3], "--out", str(tmp_path / "victim"), *resume]) == 0
+    for log in ("health.json", "alerts.jsonl"):
+        golden = (tmp_path / "golden" / log).read_bytes()
+        assert (tmp_path / "victim" / log).read_bytes() == golden, log
+    assert b'"round": 60' in (tmp_path / "golden" / "alerts.jsonl").read_bytes()
 
 
 def test_checkpoint_rejects_bad_cadence(tmp_path, monkeypatch, capsys):

@@ -133,3 +133,35 @@ def test_replicate_flight_and_health_repeat_byte_for_byte(tmp_path, monkeypatch,
     assert _files(tmp_path) == {"a", "b"}
     assert _files(runs[0]) == TELEMETRY | HEALTH | {"decisions.jsonl"}
     _assert_same_logs(*runs, ["health.json", "alerts.jsonl", "decisions.jsonl"])
+
+
+def test_run_health_starts_each_world_fresh(tmp_path, capsys):
+    """fig3 plays one fleet per |V|: each world marks its own capacity
+    cliffs against its own |V|, exactly as that world run alone does."""
+    from repro.experiments.config import base_config, compare_policies, scaled_num_events
+
+    assert main(["run", "fig3", "--horizon", "300", "--health", "--quiet",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    events = json.loads((tmp_path / "fig3" / "health.json").read_text(encoding="utf-8"))["events"]
+    sizes = [scaled_num_events("scaled", paper_v) for paper_v in (100, 1000)]
+    onsets = {size: [] for size in sizes}
+    for event in events:
+        if event.get("direction") == "onset":
+            onsets.setdefault(event["num_events"], []).append(event["policy"])
+    policies = ["Exploit", "OPT", "Random", "TS", "UCB", "eGreedy"]
+    assert {size: sorted(names) for size, names in onsets.items()} == {
+        size: policies for size in sizes
+    }
+
+    from repro.obs.core import Instrumentation, use
+    from repro.obs.health import health_events_from_trace
+
+    alone = []
+    for size in sizes:
+        obs = Instrumentation()
+        obs.health = True
+        with use(obs):
+            compare_policies(base_config("scaled", 0, num_events=size), horizon=300)
+        alone.extend(health_events_from_trace(obs.trace_records()))
+    assert events == alone

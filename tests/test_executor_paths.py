@@ -8,7 +8,8 @@ unit must return the same results and :class:`UnitFailure` fields, and
 gauge are scrubbed, with every unit's spans nested under the
 executor's ``run_work_units`` span.  A resume under another telemetry
 setting than the checkpointed run is refused, from the unit cache and
-from a round checkpoint alike.
+from a round checkpoint alike; a round slot resumes under ``--health``
+to the events of an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.exceptions import ConfigurationError
 from repro.io.checkpoint import ExecutorCheckpoint, RunCheckpointer
 from repro.obs.core import Instrumentation, current, use
 from repro.obs.flight import FlightBuffer
-from repro.obs.health import HealthMonitor
+from repro.obs.health import ALERT_EVENT_NAME, HEALTH_EVENT_NAME
 from repro.obs.profile import Profile
 from repro.parallel import UnitFailure, run_work_units
 from repro.parallel.executor import UNIT_CACHED_EVENT
@@ -162,9 +163,22 @@ def test_resume_under_another_telemetry_setting_is_refused(
     assert replayed.seeds == (0,) and not replayed.failures
 
 
-def test_round_slot_refuses_to_resume_under_the_health_monitor(tmp_path, monkeypatch):
-    """A round slot holds no detector state, so it never resumes with
-    the health monitor on."""
+def _health_records(obs) -> list:
+    return [
+        record["fields"] for record in obs.trace_records()
+        if record.get("name") in (HEALTH_EVENT_NAME, ALERT_EVENT_NAME)
+    ]
+
+
+def test_round_slot_resumes_under_health_to_the_same_events(tmp_path, monkeypatch):
+    """A round slot holds the cell's series, so a resumed cell logs the
+    health events and alerts of an uninterrupted one."""
+    registries = [_telemetry("obs") for _ in range(3)]
+    for obs in registries:
+        obs.health = True
+    golden, victim, resumed = registries
+    with use(golden):
+        _replicate(tmp_path / "golden", resume=False)
     save = RunCheckpointer.save
 
     def crash_after_saving(self, arrays):
@@ -172,15 +186,14 @@ def test_round_slot_refuses_to_resume_under_the_health_monitor(tmp_path, monkeyp
         raise RuntimeError("killed")
 
     monkeypatch.setattr(RunCheckpointer, "save", crash_after_saving)
-    with use(_telemetry("obs")):
+    with use(victim):
         with pytest.raises(RuntimeError, match="killed"):
-            _replicate(tmp_path, resume=False)
+            _replicate(tmp_path / "victim", resume=False)
     monkeypatch.undo()
-    obs = _telemetry("obs")
-    obs.health_monitor = HealthMonitor()
-    with use(obs):
-        with pytest.raises(ConfigurationError, match="health-monitor"):
-            _replicate(tmp_path, resume=True)
+    with use(resumed):
+        _replicate(tmp_path / "victim", resume=True)
+    assert _health_records(golden)
+    assert _health_records(resumed) == _health_records(golden)
 
 
 def test_profile_stacks_do_not_depend_on_jobs_or_checkpointing(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,11 @@
-"""The health monitor's built-in alerts.
+"""The built-in alerts of the learning-health pass.
 
 Tested directly: ``capacity-exhaustion`` fires on each capacity-cliff
 mark, ``reward-collapse`` and ``theta-divergence`` are edge-triggered
 over cell-local windows, the crash-safe ``alerts.jsonl`` writer follows
 the flight-recorder discipline, and a parallel run's ``alerts.jsonl`` is
-byte-identical to the serial one — and to the pinned bytes of a run in
-which all three alerts fire.
+byte-identical to the serial one — and, with its ``health.json``, to
+the pinned bytes of a run in which all three alerts fire.
 """
 
 import json
@@ -17,34 +17,44 @@ import pytest
 from repro.bandits import OptPolicy, RandomPolicy
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.exceptions import ConfigurationError
-from repro.obs.core import NULL_OBS, Instrumentation, use
+from repro.obs.core import Instrumentation, use
 from repro.obs.flight import FlightRecorder
 from repro.obs.health import (
+    ALERT_EVENT_NAME,
     ALERTS_FILENAME,
     ALERTS_SCHEMA_VERSION,
     CAPACITY_CLIFF_DETECTOR,
     CAPACITY_EXHAUSTION_ALERT,
+    HEALTH_FILENAME,
     REWARD_COLLAPSE_ALERT,
     REWARD_COLLAPSE_WINDOW,
     THETA_DIVERGENCE_ALERT,
-    HealthMonitor,
+    health_events_from_trace,
     load_alerts,
+    persist_health,
+    record_fleet_health,
+    series_health,
+    series_marks,
 )
 from repro.parallel import PolicyRunCell, run_policy_run_cell, run_work_units
 from repro.simulation.fleet import run_policy_fleet
 
 
-def _rules(monitor):
-    return [(record["rule"], record["round"]) for record in monitor.alerts.records]
+def _rules(alerts):
+    return [(record["rule"], record["round"]) for record in alerts]
+
+
+def _rewards(label, values, start=1):
+    """A ``policy.<label>.reward`` series over consecutive rounds."""
+    return {f"policy.{label}.reward": list(enumerate(values, start=start))}
 
 
 # ----------------------------------------------------------------------
 # Alert semantics
 # ----------------------------------------------------------------------
 def test_default_rules_include_the_capacity_exhaustion_alert():
-    monitor = HealthMonitor()
-    monitor.observe_exhaustion(NULL_OBS, "OPT", 4, 5, 1)
-    assert monitor.alerts.records == [
+    _, alerts = series_health({"policy.OPT.capacity_exhausted": [(4, 5.0)]}, ["OPT"], 1)
+    assert alerts == [
         {
             "kind": "alert",
             "schema_version": ALERTS_SCHEMA_VERSION,
@@ -62,54 +72,48 @@ def test_default_rules_include_the_capacity_exhaustion_alert():
 
 
 def test_detector_rule_fires_on_matching_health_events():
-    monitor = HealthMonitor()
-    for round_ in range(1, 120):
-        # A reward level shift: Page-Hinkley and CUSUM events, no alert.
-        monitor.observe_round(NULL_OBS, "UCB", round_, 0.0 if round_ < 60 else 5.0)
-        monitor.end_round(round_)
-    assert monitor.events and monitor.alerts.records == []
-    monitor.observe_exhaustion(NULL_OBS, "UCB", 120, 2, 3)
-    monitor.observe_exhaustion(NULL_OBS, "UCB", 121, 2, 3)  # already drained
-    assert _rules(monitor) == [(CAPACITY_EXHAUSTION_ALERT, 120)]
-    assert monitor.alerts.records[0]["direction"] == "onset"
+    # A reward level shift: Page-Hinkley and CUSUM events, no alert.
+    series = _rewards("UCB", [0.0 if round_ < 60 else 5.0 for round_ in range(1, 120)])
+    events, alerts = series_health(series, ["UCB"], 3)
+    assert events and alerts == []
+    series["policy.UCB.capacity_exhausted"] = [(120, 2.0), (121, 2.0)]  # already drained
+    _, alerts = series_health(series, ["UCB"], 3)
+    assert _rules(alerts) == [(CAPACITY_EXHAUSTION_ALERT, 120)]
+    assert alerts[0]["direction"] == "onset"
 
 
 def test_metric_rule_is_edge_triggered():
-    monitor = HealthMonitor()
-    for round_, drift in enumerate([5.0, 20.0, 30.0, 5.0, 25.0], start=1):
-        monitor.observe_round(NULL_OBS, "TS", round_, 1.0, drift=drift)
-        monitor.end_round(round_)
+    series = _rewards("TS", [1.0] * 5)
+    series["policy.TS.theta_drift"] = list(enumerate([5.0, 20.0, 30.0, 5.0, 25.0], start=1))
+    _, alerts = series_health(series, ["TS"], 1)
     # Fires on each false->true transition only: rounds 2 and 5.
-    assert _rules(monitor) == [(THETA_DIVERGENCE_ALERT, 2), (THETA_DIVERGENCE_ALERT, 5)]
-    record = monitor.alerts.records[0]
+    assert _rules(alerts) == [(THETA_DIVERGENCE_ALERT, 2), (THETA_DIVERGENCE_ALERT, 5)]
+    record = alerts[0]
     assert record["schema_version"] == ALERTS_SCHEMA_VERSION
     assert record["metric"] == "policy.TS.theta_drift"
     assert record["value"] == 20.0 and record["severity"] == "critical"
 
 
 def test_series_window_minimum_guard():
-    monitor = HealthMonitor()
-    for round_ in range(1, REWARD_COLLAPSE_WINDOW):
-        monitor.observe_round(NULL_OBS, "TS", round_, 0.0)
-        monitor.end_round(round_)
-    assert monitor.alerts.records == []  # fewer rewards than the window
-    monitor.observe_round(NULL_OBS, "TS", REWARD_COLLAPSE_WINDOW, 0.0)
-    monitor.end_round(REWARD_COLLAPSE_WINDOW)
-    assert _rules(monitor) == [(REWARD_COLLAPSE_ALERT, REWARD_COLLAPSE_WINDOW)]
-    assert monitor.alerts.records[0]["metric"] == "policy.TS.reward"
-    assert monitor.alerts.records[0]["value"] == 0.0
+    _, alerts = series_health(_rewards("TS", [0.0] * (REWARD_COLLAPSE_WINDOW - 1)), ["TS"], 1)
+    assert alerts == []  # fewer rewards than the window
+    _, alerts = series_health(_rewards("TS", [0.0] * REWARD_COLLAPSE_WINDOW), ["TS"], 1)
+    assert _rules(alerts) == [(REWARD_COLLAPSE_ALERT, REWARD_COLLAPSE_WINDOW)]
+    assert alerts[0]["metric"] == "policy.TS.reward"
+    assert alerts[0]["value"] == 0.0
 
 
 def test_reward_windows_are_cell_local():
-    monitor = HealthMonitor()
+    obs = Instrumentation()
+    rewards = obs.series("policy.TS.reward")
     for round_ in range(1, REWARD_COLLAPSE_WINDOW):
-        monitor.observe_round(NULL_OBS, "TS", round_, 0.0)
-    # A new cell starts an empty window, like a worker's fresh monitor:
-    # one more zero reward does not complete the earlier cell's window.
-    monitor.begin_cell()
-    monitor.observe_round(NULL_OBS, "TS", 1, 0.0)
-    monitor.end_round(1)
-    assert monitor.alerts.records == []
+        rewards.append(round_, 0.0)
+    # A new cell reads from its own start: one more zero reward does not
+    # complete the earlier cell's window.
+    marks = series_marks(obs, ["TS"])
+    rewards.append(1, 0.0)
+    record_fleet_health(obs, ["TS"], marks, 1)
+    assert health_events_from_trace(obs.trace_records(), ALERT_EVENT_NAME) == []
 
 
 # ----------------------------------------------------------------------
@@ -169,17 +173,12 @@ EXHAUST_CONFIG = SyntheticConfig(
 
 
 def _monitored(directory, fn, units, jobs):
-    """Run ``units`` under a health monitor logging into ``directory``."""
+    """Run ``units`` with ``--health``; write its logs into ``directory``."""
     obs = Instrumentation()
-    obs.health_monitor = HealthMonitor(
-        FlightRecorder(directory, filename=ALERTS_FILENAME)
-    )
-    try:
-        with use(obs):
-            run_work_units(fn, units, jobs=jobs)
-    finally:
-        obs.health_monitor.alerts.close()
-    return obs
+    obs.health = True
+    with use(obs):
+        run_work_units(fn, units, jobs=jobs)
+    persist_health(directory, obs.trace_records())
 
 
 def test_parallel_alert_log_is_byte_identical_to_serial(tmp_path):
@@ -193,17 +192,16 @@ def test_parallel_alert_log_is_byte_identical_to_serial(tmp_path):
         )
         for name in ("OPT", "UCB", "eGreedy")
     ]
-    serial_obs = _monitored(tmp_path / "serial", run_policy_run_cell, cells, jobs=1)
-    pool_obs = _monitored(tmp_path / "pool", run_policy_run_cell, cells, jobs=2)
-    serial = (tmp_path / "serial" / ALERTS_FILENAME).read_bytes()
-    pooled = (tmp_path / "pool" / ALERTS_FILENAME).read_bytes()
-    assert serial == pooled
+    _monitored(tmp_path / "serial", run_policy_run_cell, cells, jobs=1)
+    _monitored(tmp_path / "pool", run_policy_run_cell, cells, jobs=2)
+    for log in (ALERTS_FILENAME, HEALTH_FILENAME):
+        serial = (tmp_path / "serial" / log).read_bytes()
+        assert serial == (tmp_path / "pool" / log).read_bytes(), log
     # The tiny world exhausts under OPT, so the gate is non-vacuous.
     assert any(
         record["rule"] == "capacity-exhaustion"
         for record in load_alerts(tmp_path / "serial")
     )
-    assert serial_obs.health_monitor.events == pool_obs.health_monitor.events
 
 
 # ----------------------------------------------------------------------
@@ -237,9 +235,13 @@ def _drained_fleet(run_seed):
 #: alerts.jsonl of two drained cells: each cell's θ̂ divergence of Away
 #: and Far at round 1, every policy's capacity-exhaustion onset and
 #: completion, and each policy's reward collapse once its last 200
-#: rewards average < 0.05.  Written by the rule engine this monitor
-#: replaced, and unchanged since.
+#: rewards average < 0.05.  Written by the rule engine the live health
+#: monitor replaced, and unchanged since.
 PINNED_ALERTS = Path(__file__).parent / "fixtures" / "alerts" / "builtin_alerts.jsonl"
+#: health.json of the same run: every policy's cliff onset and
+#: completion per cell, in fleet order within a round.  Written by the
+#: live health monitor the per-cell pass replaced.
+PINNED_HEALTH = Path(__file__).parent / "fixtures" / "alerts" / "builtin_health.json"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -248,3 +250,4 @@ def test_builtin_alerts_fire_and_are_pinned(tmp_path, jobs):
     rules = {record["rule"] for record in load_alerts(tmp_path)}
     assert rules == {"capacity-exhaustion", "reward-collapse", "theta-divergence"}
     assert (tmp_path / ALERTS_FILENAME).read_bytes() == PINNED_ALERTS.read_bytes()
+    assert (tmp_path / HEALTH_FILENAME).read_bytes() == PINNED_HEALTH.read_bytes()

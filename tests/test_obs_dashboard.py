@@ -1,10 +1,10 @@
 """Health report & live dashboard: followers, renderers, CLI verbs.
 
-The consumption half of the learning-health monitor: the
-:class:`JsonlFollower` never crashes on (or double-reads) a log whose
-writer died mid-record, ``obs health`` renders the same document from
-``health.json`` or an offline rebuild, and ``obs top`` follows a run
-directory frame-by-frame with an injected clock.
+The consumption half of learning health: the :class:`JsonlFollower`
+never crashes on (or double-reads) a log whose writer died mid-record,
+``obs health`` renders the same document from ``health.json`` or from
+the streamed trace of a run that never persisted it, and ``obs top``
+follows a run directory frame-by-frame with an injected clock.
 """
 
 import io
@@ -13,7 +13,7 @@ import shutil
 
 import pytest
 
-from repro.bandits import OptPolicy, UcbPolicy
+from repro.bandits import OptPolicy
 from repro.cli import main as cli_main
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.io.runstore import persist_run_telemetry
@@ -33,13 +33,12 @@ from repro.obs.dashboard import (
     top_lines,
     write_health_html,
 )
-from repro.obs.flight import FlightRecorder
 from repro.obs.health import (
+    ALERT_EVENT_NAME,
     ALERTS_FILENAME,
     CAPACITY_CLIFF_DETECTOR,
     CUSUM_DETECTOR,
-    HealthMonitor,
-    events_from_snapshot,
+    HEALTH_FILENAME,
     health_event,
     load_alerts,
     persist_health,
@@ -63,18 +62,14 @@ def run_dir(tmp_path_factory):
     )
     world = build_world(config)
     obs = Instrumentation()
-    log = FlightRecorder(directory, filename=ALERTS_FILENAME)
-    obs.health_monitor = HealthMonitor(log)
-    try:
-        with StreamingSink(
-            directory, obs, flush_every_rounds=1, flush_every_seconds=None
-        ) as sink:
-            obs.stream_sink = sink
-            run_policy(OptPolicy(world.theta), world, run_seed=0, obs=obs)
-    finally:
-        log.close()
+    obs.health = True
+    with StreamingSink(
+        directory, obs, flush_every_rounds=1, flush_every_seconds=None
+    ) as sink:
+        obs.stream_sink = sink
+        run_policy(OptPolicy(world.theta), world, run_seed=0, obs=obs)
     persist_run_telemetry(directory, obs)
-    persist_health(directory, obs.health_monitor)
+    persist_health(directory, obs.trace_records())
     return directory
 
 
@@ -162,28 +157,26 @@ def test_text_sparkline_shapes():
 # ----------------------------------------------------------------------
 def test_load_health_document_prefers_the_recorded_file(run_dir):
     payload = load_health_document(run_dir)
-    assert "rebuilt" not in payload
     assert payload["summary"]["OPT"]["cliff_onset"] == 2
     assert payload["summary"]["OPT"]["cliff_complete"] == 12
+    assert payload["alerts"] == load_alerts(run_dir)
 
 
-def test_load_health_document_rebuilds_offline_from_the_snapshot(tmp_path):
-    config = SyntheticConfig(
-        num_events=6,
-        horizon=60,
-        dim=3,
-        capacity_mean=2.0,
-        capacity_std=1.0,
-        conflict_ratio=0.0,
-        seed=1,
-    )
-    world = build_world(config)
-    obs = Instrumentation()
-    run_policy(UcbPolicy(dim=config.dim), world, run_seed=0, obs=obs)
-    persist_run_telemetry(tmp_path, obs)  # metrics.json only, no --health
-    payload = load_health_document(tmp_path)
-    assert payload["rebuilt"] is True
-    assert payload["events"] == events_from_snapshot(obs.snapshot())
+def test_load_health_document_reads_the_streamed_trace(run_dir, tmp_path):
+    """A run killed before it persisted: the trace holds the same report."""
+    directory = tmp_path / "killed"
+    shutil.copytree(run_dir, directory)
+    for name in (HEALTH_FILENAME, ALERTS_FILENAME):
+        (directory / name).unlink()
+    assert load_health_document(directory) == load_health_document(run_dir)
+
+
+def test_cli_obs_health_without_health_or_trace_names_the_flag(run_dir, tmp_path, capsys):
+    directory = tmp_path / "metrics-only"
+    directory.mkdir()
+    shutil.copy(run_dir / "metrics.json", directory)
+    assert cli_main(["obs", "health", str(directory)]) == 2
+    assert "--health" in capsys.readouterr().err
 
 
 def test_render_health_text_shows_detections_and_alerts(run_dir):
@@ -194,11 +187,9 @@ def test_render_health_text_shows_detections_and_alerts(run_dir):
     assert "learning health (per policy)" in text
     assert "OPT" in text and "cliff onset" in text
     assert "capacity-exhaustion" in text
-    assert "rebuilt offline" not in text
-    rebuilt = render_health_text({"summary": {}, "rebuilt": True}, [])
-    assert "no health events recorded" in rebuilt
-    assert "alerts: none fired" in rebuilt
-    assert "rebuilt offline" in rebuilt
+    empty = render_health_text({"summary": {}}, [])
+    assert "no health events recorded" in empty
+    assert "alerts: none fired" in empty
 
 
 def test_health_table_rows_truncate_long_changepoint_lists():
@@ -277,14 +268,11 @@ def test_run_top_rerenders_when_new_alerts_arrive(run_dir, tmp_path):
     console = Console(quiet=False, color=False, out=out, err=err)
 
     def advance(_interval):
-        with (directory / ALERTS_FILENAME).open("a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {"kind": "alert", "rule": "late-breaking",
+        with (directory / TRACE_FILENAME).open("a", encoding="utf-8") as handle:
+            alert = {"kind": "alert", "rule": "late-breaking",
                      "severity": "info", "metric": "m", "round": 99}
-                )
-                + "\n"
-            )
+            record = {"kind": "event", "name": ALERT_EVENT_NAME, "fields": alert}
+            handle.write(json.dumps(record) + "\n")
 
     assert run_top(directory, console, max_updates=2, sleep=advance) == 0
     assert "top frame 2" in err.getvalue()

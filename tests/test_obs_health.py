@@ -1,11 +1,11 @@
-"""Learning-health monitor guarantees (detectors, events, persistence).
+"""Learning-health guarantees (detectors, events, persistence).
 
-The tentpole promises, tested directly: the sequential detectors alarm
-on the shifts they advertise (and only after burn-in), the capacity
-cliff localizes the golden drop-point rounds, the online monitor and
-the offline snapshot replay produce identical events, monitoring never
-moves one reward bit, and ``health.json`` round-trips through its
-schema-versioned sink.
+Tested directly: the sequential detectors alarm on the shifts they
+advertise (and only after burn-in), the capacity cliff localizes the
+golden drop-point rounds, the traced events are the detectors' pass
+over the series the run recorded, each fleet call starts fresh
+detectors, ``--health`` never moves one reward bit, and ``health.json``
+round-trips through its schema-versioned sink.
 """
 
 import json
@@ -16,26 +16,27 @@ import pytest
 from repro.bandits import OptPolicy, UcbPolicy, make_policy
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.exceptions import ConfigurationError, SchemaError
-from repro.obs.core import NULL_OBS, Instrumentation
+from repro.obs.core import Instrumentation
 from repro.obs.health import (
+    ALERT_EVENT_NAME,
     CAPACITY_CLIFF_DETECTOR,
     CUSUM_DETECTOR,
     EWMA_BAND_DETECTOR,
     HEALTH_EVENT_NAME,
     HEALTH_FILENAME,
     HEALTH_SCHEMA_VERSION,
-    PAGE_HINKLEY_DETECTOR,
     CliffTracker,
     EwmaBand,
-    HealthMonitor,
     PageHinkley,
     WindowedCusum,
     drop_point_rows,
-    events_from_snapshot,
     first_drain_rounds,
     health_event,
+    health_events_from_trace,
+    load_alerts,
     load_health,
     persist_health,
+    series_health,
     summarize_events,
 )
 from repro.simulation.runner import run_policy
@@ -57,10 +58,23 @@ def tiny_world():
     )
 
 
+def _health_registry() -> Instrumentation:
+    obs = Instrumentation()
+    obs.health = True
+    return obs
+
+
+def _events(obs):
+    return health_events_from_trace(obs.trace_records())
+
+
+def _alerts(obs):
+    return health_events_from_trace(obs.trace_records(), ALERT_EVENT_NAME)
+
+
 @pytest.fixture(scope="module")
 def monitored_run(tiny_world):
-    obs = Instrumentation()
-    obs.health_monitor = HealthMonitor()
+    obs = _health_registry()
     history = run_policy(OptPolicy(tiny_world.theta), tiny_world, run_seed=0, obs=obs)
     return obs, history
 
@@ -139,11 +153,11 @@ def test_drop_point_rows_match_the_golden_table(monitored_run):
 
 
 # ----------------------------------------------------------------------
-# Online monitoring on the golden world
+# Health on the golden world
 # ----------------------------------------------------------------------
 def test_cliff_detector_localizes_the_golden_drop_points(monitored_run):
     obs, _ = monitored_run
-    summary = obs.health_monitor.summary()["OPT"]
+    summary = summarize_events(_events(obs))["OPT"]
     assert summary["cliff_onset"] == 2
     assert summary["cliff_complete"] == 12
 
@@ -155,7 +169,7 @@ def test_health_events_reach_the_trace(monitored_run):
         for record in obs.trace_records()
         if record.get("kind") == "event" and record["name"] == HEALTH_EVENT_NAME
     ]
-    assert len(traced) == len(obs.health_monitor.events)
+    assert traced
     cliff = [
         r for r in traced
         if r["fields"]["detector"] == CAPACITY_CLIFF_DETECTOR
@@ -167,7 +181,7 @@ def test_health_events_reach_the_trace(monitored_run):
 def test_health_events_carry_no_wall_clock_fields(monitored_run):
     obs, _ = monitored_run
     forbidden = {"time", "timestamp", "wall_time", "recorded_at"}
-    for event in obs.health_monitor.events:
+    for event in _events(obs):
         assert event["schema_version"] == HEALTH_SCHEMA_VERSION
         assert not forbidden & set(event)
 
@@ -181,10 +195,9 @@ def test_monitoring_never_moves_a_reward_bit(tiny_world, monitored_run):
 
 def test_monitoring_is_deterministic_across_repeat_runs(tiny_world, monitored_run):
     obs, _ = monitored_run
-    again = Instrumentation()
-    again.health_monitor = HealthMonitor()
+    again = _health_registry()
     run_policy(OptPolicy(tiny_world.theta), tiny_world, run_seed=0, obs=again)
-    assert again.health_monitor.events == obs.health_monitor.events
+    assert _events(again) == _events(obs)
 
 
 def test_smoke_world_health_and_alert_counts_are_pinned():
@@ -204,67 +217,57 @@ def test_smoke_world_health_and_alert_counts_are_pinned():
             seed=0,
         )
     )
-    obs = Instrumentation()
-    obs.health_monitor = HealthMonitor()
-    alerts = obs.health_monitor.alerts
+    obs = _health_registry()
     monitored = run_policy(make_policy("UCB", dim=8, seed=1), world, run_seed=0, obs=obs)
     plain = run_policy(make_policy("UCB", dim=8, seed=1), world, run_seed=0)
 
-    events = obs.health_monitor.events
+    events = _events(obs)
+    alerts = _alerts(obs)
     assert len(events) == 2
     assert [(e["detector"], e["round"]) for e in events] == [
         (CAPACITY_CLIFF_DETECTOR, 41),
         (EWMA_BAND_DETECTOR, 120),
     ]
-    assert len(alerts.records) == 1
-    assert (alerts.records[0]["rule"], alerts.records[0]["round"]) == ("capacity-exhaustion", 41)
+    assert len(alerts) == 1
+    assert (alerts[0]["rule"], alerts[0]["round"]) == ("capacity-exhaustion", 41)
     assert monitored.total_reward == 143.0
     np.testing.assert_array_equal(plain.rewards, monitored.rewards)
     np.testing.assert_array_equal(plain.arranged, monitored.arranged)
 
 
 # ----------------------------------------------------------------------
-# Online == offline (events_from_snapshot replays the same detectors)
+# Recorded series == traced events (health is a function of the series)
 # ----------------------------------------------------------------------
-def test_offline_replay_reproduces_the_online_events(monitored_run):
+def test_offline_replay_reproduces_the_online_events(monitored_run, tiny_world):
     obs, _ = monitored_run
-    assert events_from_snapshot(obs.snapshot()) == obs.health_monitor.events
+    events, alerts = series_health(
+        obs.snapshot().series, ["OPT"], tiny_world.config.num_events
+    )
+    assert events == _events(obs)
+    assert alerts == _alerts(obs)
 
 
 def test_offline_replay_on_a_learning_policy(tiny_world):
-    obs = Instrumentation()
-    obs.health_monitor = HealthMonitor()
+    obs = _health_registry()
     run_policy(
         UcbPolicy(dim=tiny_world.config.dim), tiny_world, run_seed=0, obs=obs
     )
-    assert events_from_snapshot(obs.snapshot()) == obs.health_monitor.events
+    events, alerts = series_health(
+        obs.snapshot().series, ["UCB"], tiny_world.config.num_events
+    )
+    assert events == _events(obs)
+    assert alerts == _alerts(obs)
 
 
-# ----------------------------------------------------------------------
-# Cell boundaries (serial path mirrors a fresh worker)
-# ----------------------------------------------------------------------
-def test_begin_cell_resets_detectors_but_keeps_events():
-    monitor = HealthMonitor()
-    monitor.observe_exhaustion(NULL_OBS, "A", 3, 0, 1)
-    assert [e["direction"] for e in monitor.events] == ["onset", "complete"]
-    monitor.begin_cell()
-    # Fresh detector bank: the same policy label re-marks its onset,
-    # exactly as a parallel worker's fresh monitor would.
-    monitor.observe_exhaustion(NULL_OBS, "A", 7, 0, 2)
-    assert len(monitor.events) == 3
-    assert monitor.events[-1]["round"] == 7
-
-
-def test_extend_appends_worker_events_in_order():
-    monitor = HealthMonitor()
-    monitor.observe_exhaustion(NULL_OBS, "OPT", 2, 0, 2)
-    worker_events = [
-        health_event(PAGE_HINKLEY_DETECTOR, "UCB", "reward", 10, 1.0, "down")
-    ]
-    worker_alerts = [{"kind": "alert", "rule": "reward-collapse", "round": 10}]
-    monitor.extend(worker_events, worker_alerts)
-    assert monitor.events[1:] == worker_events
-    assert monitor.alerts.records[1:] == worker_alerts
+def test_each_fleet_call_starts_fresh_detectors(tiny_world, monitored_run):
+    """Two runs on one registry log the same events twice: the second
+    reads only its own points and re-marks its own cliff onset."""
+    obs, _ = monitored_run
+    twice = _health_registry()
+    for _ in range(2):
+        run_policy(OptPolicy(tiny_world.theta), tiny_world, run_seed=0, obs=twice)
+    assert _events(twice) == _events(obs) * 2
+    assert _alerts(twice) == _alerts(obs) * 2
 
 
 # ----------------------------------------------------------------------
@@ -292,11 +295,13 @@ def test_summarize_events_groups_by_policy_and_detector():
 
 def test_persist_and_load_health_round_trip(monitored_run, tmp_path):
     obs, _ = monitored_run
-    path = persist_health(tmp_path, obs.health_monitor)
+    path, num_events, num_alerts = persist_health(tmp_path, obs.trace_records())
     assert path == tmp_path / HEALTH_FILENAME
+    assert (num_events, num_alerts) == (len(_events(obs)), len(_alerts(obs)))
+    assert load_alerts(tmp_path) == _alerts(obs)
     payload = load_health(tmp_path)
     assert payload["version"] == HEALTH_SCHEMA_VERSION
-    assert payload["events"] == obs.health_monitor.events
+    assert payload["events"] == _events(obs)
     assert payload["summary"]["OPT"]["cliff_onset"] == 2
 
 
